@@ -17,7 +17,6 @@ from .quivers import (
     chi_plus,
     euler_matrix_simples,
     forbidden_full_subquiver,
-    hochschild_vertex_bound,
     obstruction_report,
     paths_matrix,
     reflect,
@@ -64,7 +63,6 @@ __all__ = [
     "chi_plus",
     "euler_matrix_simples",
     "forbidden_full_subquiver",
-    "hochschild_vertex_bound",
     "obstruction_report",
     "paths_matrix",
     "reflect",

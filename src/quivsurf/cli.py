@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .linalg import rank_rational, signature_symmetric
-from .quivers import chi_minus, chi_plus, gram_from_json, obstruction_report, quiver_from_json
+from .quivers import gram_from_json, obstruction_report, quiver_from_json
 from .toric import FanError, PRESETS, divisor_from_json, fan_from_json, preset
 from .exceptional import (
     abc_of,
@@ -107,16 +106,16 @@ def cmd_toric(args) -> int:
         _emit(_report("toric coh", payload))
         return EXIT_OK
     gram = surface.knum_gram()
-    sig = signature_symmetric(chi_plus(gram))
+    report = obstruction_report(gram)
     payload = {
         "rays": [list(r) for r in surface.rays],
         "picard_rank": surface.picard_rank,
         "basis": ["point"]
-        + [f"curve_ray_{i}" for i in surface.pic_basis_indices()]
+        + [f"curve_ray_{i}" for i in range(surface.picard_rank)]
         + ["structure_sheaf"],
         "gram": gram.int_rows(),
-        "rank_chi_minus": rank_rational(chi_minus(gram)),
-        "signature_chi_plus": list(sig),
+        "rank_chi_minus": report.rank_chi_minus,
+        "signature_chi_plus": list(report.signature_chi_plus),
     }
     _emit(_report("toric knum", payload))
     return EXIT_OK

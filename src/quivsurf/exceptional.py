@@ -20,6 +20,7 @@ from .toric import (
     ToricSurface,
     add_divisors,
     blowup_p2,
+    fan_from_json,
     neg_divisor,
     projective_plane,
     sub_divisors,
@@ -242,6 +243,9 @@ def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
 
 # --- the star family ---------------------------------------------------------
 
+# Largest star S_n that verify_star_family builds.
+STAR_FAMILY_MAX = 6
+
 
 @dataclass(frozen=True)
 class StarFamilyReport:
@@ -285,19 +289,14 @@ def star_family_surface(n: int) -> tuple:
     return s, rays
 
 
-def verify_star_family(n: int, max_n: int = 6) -> StarFamilyReport:
+def verify_star_family(n: int) -> StarFamilyReport:
     """Build and verify the collection (O, O_{E_1}, ..., O_{E_n}) whose
     endomorphism quiver is the n-leaf star: one morphism from the structure
     sheaf to each exceptional curve, none between distinct curves."""
     if n < 0:
         raise ValueError("star family needs n >= 0")
-    if n > max_n:
-        raise ValueError(f"star family bound exceeded: n={n} > {max_n}")
-    if n == 0:
-        s = projective_plane()
-        coll = Collection(s, (LineBundle(s.zero_divisor()),))
-        result = verify_collection(coll, strong=True)
-        return StarFamilyReport(0, s, (), result, result.ok)
+    if n > STAR_FAMILY_MAX:
+        raise ValueError(f"star family bound exceeded: n={n} > {STAR_FAMILY_MAX}")
     s, rays = star_family_surface(n)
     coll = Collection(
         s, (LineBundle(s.zero_divisor()),) + tuple(CurveSheaf(i) for i in rays)
@@ -391,8 +390,6 @@ def verify_divisor_table(m_max: int) -> list:
 
 
 def collection_from_json(data: dict) -> Collection:
-    from .toric import fan_from_json
-
     try:
         surface = fan_from_json(data["fan"])
         raw_objects = data["objects"]

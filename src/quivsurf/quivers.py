@@ -17,6 +17,10 @@ from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, Signature, invert_unitriangular, rank_rational, signature_symmetric
 
+# Largest quiver for which the forbidden-subquiver witness is searched: the
+# scan visits up to 2^n vertex subsets.
+SUBQUIVER_BOUND = 15
+
 
 @dataclass(frozen=True)
 class Quiver:
@@ -152,16 +156,17 @@ def full_subquiver(q: Quiver, subset: Sequence[int]) -> Quiver:
     return Quiver(len(subset), arrows)
 
 
-def forbidden_full_subquiver(q: Quiver, bound: int = 15) -> Optional[tuple]:
+def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
     """Smallest vertex subset whose induced subquiver has rank(chi^-) > 2.
 
     Subsets are scanned in increasing cardinality (lexicographic within a
     cardinality), starting at four vertices since a skew form of rank > 2
     has rank at least 4. Returns None when no forbidden subquiver exists.
     """
-    if q.vertices > bound:
+    if q.vertices > SUBQUIVER_BOUND:
         raise ValueError(
-            f"full-subquiver search is limited to {bound} vertices (quiver has {q.vertices})"
+            f"full-subquiver search is limited to {SUBQUIVER_BOUND} vertices "
+            f"(quiver has {q.vertices})"
         )
     for size in range(4, q.vertices + 1):
         for subset in itertools.combinations(range(q.vertices), size):
@@ -171,12 +176,13 @@ def forbidden_full_subquiver(q: Quiver, bound: int = 15) -> Optional[tuple]:
     return None
 
 
-def obstruction_report(source, *, subquiver_bound: int = 15) -> ObstructionReport:
+def obstruction_report(source) -> ObstructionReport:
     """Run both obstructions on a quiver or on a raw square Gram matrix.
 
     Matrix input is taken as the Euler form in some exceptional basis; the
     verdicts are congruence invariants so any basis gives the same answer.
-    The forbidden-subquiver witness is only searched for quiver input.
+    The forbidden-subquiver witness is only searched for quiver input of
+    at most SUBQUIVER_BOUND vertices; larger failing quivers report None.
     """
     quiver = None
     if isinstance(source, Quiver):
@@ -193,8 +199,8 @@ def obstruction_report(source, *, subquiver_bound: int = 15) -> ObstructionRepor
     passes_rank = rank_cm <= 2
     passes_signature = sig.n_minus <= 2
     witness = None
-    if quiver is not None and not passes_rank and quiver.vertices <= subquiver_bound:
-        witness = forbidden_full_subquiver(quiver, subquiver_bound)
+    if quiver is not None and not passes_rank and quiver.vertices <= SUBQUIVER_BOUND:
+        witness = forbidden_full_subquiver(quiver)
     return ObstructionReport(rank_cm, sig, passes_rank, passes_signature, witness)
 
 
@@ -208,11 +214,6 @@ def reflect(q: Quiver, v: int) -> Quiver:
         (t, s) if v in (s, t) else (s, t) for s, t in q.arrows
     )
     return Quiver(q.vertices, arrows)
-
-
-def hochschild_vertex_bound(q: Quiver, rho: int) -> bool:
-    """Vertex-count bound from zeroth Hochschild homology: |Q_0| <= 2 + rho."""
-    return q.vertices <= 2 + rho
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +303,18 @@ def three_vertex(a: int, b: int, c: int) -> Quiver:
     return Quiver(3, tuple(arrows))
 
 
-def dynkin_euclidean_family(
-    a_max: int = 8, d_max: int = 8, affine_a_max: int = 7, affine_d_max: int = 7
-) -> list:
+def dynkin_euclidean_family() -> list:
     """The Dynkin and Euclidean presets used by the classification table.
 
-    Returns (name, quiver) pairs: A_1..A_{a_max}, D_4..D_{d_max}, E_6..E_8,
-    then the affine types A~1..A~{affine_a_max}, D~4..D~{affine_d_max},
-    E~6..E~8.
+    Returns (name, quiver) pairs: A_1..A_8, D_4..D_8, E_6..E_8, then the
+    affine types A~1..A~7, D~4..D~7, E~6..E~8.
     """
     family = []
-    family += [(f"A{n}", linear_quiver(n)) for n in range(1, a_max + 1)]
-    family += [(f"D{n}", dynkin_d(n)) for n in range(4, d_max + 1)]
+    family += [(f"A{n}", linear_quiver(n)) for n in range(1, 9)]
+    family += [(f"D{n}", dynkin_d(n)) for n in range(4, 9)]
     family += [(f"E{n}", dynkin_e(n)) for n in (6, 7, 8)]
-    family += [(f"A~{n}", affine_a(n)) for n in range(1, affine_a_max + 1)]
-    family += [(f"D~{n}", affine_d(n)) for n in range(4, affine_d_max + 1)]
+    family += [(f"A~{n}", affine_a(n)) for n in range(1, 8)]
+    family += [(f"D~{n}", affine_d(n)) for n in range(4, 8)]
     family += [(f"E~{n}", affine_e(n)) for n in (6, 7, 8)]
     return family
 

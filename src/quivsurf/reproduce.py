@@ -9,17 +9,21 @@ from __future__ import annotations
 
 import random
 
-from .linalg import ExactMatrix, rank_rational, signature_symmetric
 from .quivers import (
     Quiver,
-    chi_minus,
-    chi_plus,
     dynkin_euclidean_family,
     obstruction_report,
     paths_matrix,
     reflect,
 )
-from .toric import blowup_p2, hirzebruch, p1xp1, projective_plane, random_blowup_surface
+from .toric import (
+    blowup_p2,
+    hirzebruch,
+    p1_cohomology,
+    p1xp1,
+    projective_plane,
+    random_blowup_surface,
+)
 from .exceptional import (
     abc_of,
     line_collection,
@@ -74,6 +78,12 @@ FOUR_VERTEX_MATCH = (1, 2, 0, 3)
 
 DEFAULT_SEED = 7
 
+# Fixed ranges of the battery items.
+KRONECKER_ARROWS = range(1, 10)
+STAR_LEAVES = range(1, 6)
+RANDOM_SURFACES = 20
+SOLVER_MAX = 10
+
 
 def classification_item() -> dict:
     rows = []
@@ -109,7 +119,7 @@ def classification_item() -> dict:
 
 
 def five_vertex_item() -> dict:
-    report = obstruction_report(ExactMatrix.from_rows(FIVE_VERTEX_GRAM))
+    report = obstruction_report(FIVE_VERTEX_GRAM)
     return {
         "item": "five_vertex_gram",
         "rank_chi_minus": report.rank_chi_minus,
@@ -171,20 +181,18 @@ def isolated_case_item() -> dict:
     }
 
 
-def kronecker_item(n_max: int = 9, bound: int = 5) -> dict:
+def kronecker_item() -> dict:
     quad = p1xp1()
     f1 = blowup_p2(1)
     h0_values = [quad.h0_lattice_points(quad.lift_pic((1, m - 1))) for m in range(1, 6)]
-    found = {}
-    for n in range(1, n_max + 1):
-        hits = {
-            "F1": [list(v) for v in search_kronecker(f1, n, bound)],
-            "P1xP1": [list(v) for v in search_kronecker(quad, n, bound)],
+    found = {
+        str(n): {
+            "F1": [list(v) for v in search_kronecker(f1, n)],
+            "P1xP1": [list(v) for v in search_kronecker(quad, n)],
         }
-        found[str(n)] = hits
-    all_found = all(
-        found[str(n)]["F1"] or found[str(n)]["P1xP1"] for n in range(1, n_max + 1)
-    )
+        for n in KRONECKER_ARROWS
+    }
+    all_found = all(hits["F1"] or hits["P1xP1"] for hits in found.values())
     return {
         "item": "kronecker_family",
         "h0_bidegree_1_mminus1": h0_values,
@@ -193,9 +201,9 @@ def kronecker_item(n_max: int = 9, bound: int = 5) -> dict:
     }
 
 
-def star_family_item(n_max: int = 5) -> dict:
+def star_family_item() -> dict:
     results = []
-    for n in range(1, n_max + 1):
+    for n in STAR_LEAVES:
         report = verify_star_family(n)
         results.append(
             {
@@ -212,7 +220,7 @@ def star_family_item(n_max: int = 5) -> dict:
     }
 
 
-def surface_theorems_item(n_random: int = 20, seed: int = DEFAULT_SEED) -> dict:
+def surface_theorems_item(seed: int = DEFAULT_SEED) -> dict:
     surfaces = [
         ("P2", projective_plane()),
         ("P1xP1", p1xp1()),
@@ -224,13 +232,12 @@ def surface_theorems_item(n_random: int = 20, seed: int = DEFAULT_SEED) -> dict:
     ]
     rng = random.Random(seed)
     surfaces += [
-        (f"random{i}", random_blowup_surface(rng)) for i in range(n_random)
+        (f"random{i}", random_blowup_surface(rng)) for i in range(RANDOM_SURFACES)
     ]
     rows = []
     for name, s in surfaces:
-        gram = s.knum_gram()
-        rank = rank_rational(chi_minus(gram))
-        sig = signature_symmetric(chi_plus(gram))
+        report = obstruction_report(s.knum_gram())
+        rank, sig = report.rank_chi_minus, report.signature_chi_plus
         basis = s.knum_basis()
 
         def twist_minus_id(x, s=s):
@@ -275,14 +282,10 @@ def surface_theorems_item(n_random: int = 20, seed: int = DEFAULT_SEED) -> dict:
 
 def kunneth_item() -> dict:
     quad = p1xp1()
-
-    def p1(d):
-        return (max(0, d + 1), max(0, -d - 1))
-
     mismatches = []
     for a in range(-4, 5):
         for b in range(-4, 5):
-            ha, hb = p1(a), p1(b)
+            ha, hb = p1_cohomology(a), p1_cohomology(b)
             expected = (
                 ha[0] * hb[0],
                 ha[0] * hb[1] + ha[1] * hb[0],
@@ -299,17 +302,11 @@ def kunneth_item() -> dict:
     }
 
 
-def solver_item(max_value: int = 10) -> dict:
-    solutions = solve_abc(max_value)
-    families = set()
-    for n in range(max_value + 1):
-        families.add((0, n, n))
-        families.add((n, 0, n))
-        if n <= max_value:
-            families.add((1, n, 1))
-            families.add((n, 1, 1))
-    families.add((2, 2, 0))
-    families = {t for t in families if all(0 <= x <= max_value for x in t)}
+def solver_item() -> dict:
+    solutions = solve_abc(SOLVER_MAX)
+    families = {(2, 2, 0)}
+    for n in range(SOLVER_MAX + 1):
+        families |= {(0, n, n), (n, 0, n), (1, n, 1), (n, 1, 1)}
     matches_families = set(solutions) == families
 
     # every search result must reproduce its triple from actual cohomology
@@ -334,7 +331,7 @@ def solver_item(max_value: int = 10) -> dict:
         )
     return {
         "item": "abc_solver",
-        "max_value": max_value,
+        "max_value": SOLVER_MAX,
         "solutions": [list(t) for t in solutions],
         "matches_families": matches_families,
         "searches": search_detail,

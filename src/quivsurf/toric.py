@@ -102,6 +102,11 @@ def _angle_cmp(a, b) -> int:
     return 0
 
 
+def p1_cohomology(d: int) -> tuple:
+    """(h0, h1) of O(d) on the projective line."""
+    return (max(0, d + 1), max(0, -d - 1))
+
+
 def add_divisors(d: Sequence[int], e: Sequence[int]) -> tuple:
     return tuple(a + b for a, b in zip(d, e))
 
@@ -184,17 +189,6 @@ class ToricSurface:
         return d
 
     # --- Picard coordinates ---------------------------------------------------
-
-    def pic_basis_indices(self) -> tuple:
-        """Ray indices of the chosen Picard basis: the first rho rays.
-
-        The complementary two rays are adjacent in the fan, hence a lattice
-        basis, which makes the first rho ray classes independent.
-        """
-        rho = self.picard_rank
-        if _cross(self.rays[-2], self.rays[-1]) == 0:
-            raise ConsistencyError("Picard basis re-selection failed")
-        return tuple(range(rho))
 
     def lift_pic(self, coeffs: Sequence[int]) -> tuple:
         """Divisor with the given coefficients on the Picard basis rays,
@@ -337,7 +331,7 @@ class ToricSurface:
         """Ordered basis of the numerical Grothendieck group:
         point class, the rho Picard-basis curve sheaves, structure sheaf."""
         classes = [self.kclass_point()]
-        classes += [self.kclass_curve(self.ray_divisor(i)) for i in self.pic_basis_indices()]
+        classes += [self.kclass_curve(self.ray_divisor(i)) for i in range(self.picard_rank)]
         classes.append(self.kclass_line(self.zero_divisor()))
         return tuple(classes)
 
@@ -354,15 +348,17 @@ class ToricSurface:
         """Ext^*(O(A), O_C) for the invariant curve C of one ray: the
         cohomology of O(-A.C) on that rational curve."""
         a = self._check_divisor(a)
-        t = self.intersect(a, self.ray_divisor(ray))
-        return (max(0, 1 - t), max(0, t - 1), 0)
+        h0, h1 = p1_cohomology(-self.intersect(a, self.ray_divisor(ray)))
+        return (h0, h1, 0)
 
     def ext_curve_to_line(self, ray: int, a: Sequence[int]) -> tuple:
         """Ext^*(O_C, O(A)) by Serre duality on the surface: the dual of
         H^(2-*) of O((K-A).C) on the curve."""
         a = self._check_divisor(a)
-        d = self.intersect(sub_divisors(self.canonical, a), self.ray_divisor(ray))
-        return (0, max(0, -d - 1), max(0, d + 1))
+        h0, h1 = p1_cohomology(
+            self.intersect(sub_divisors(self.canonical, a), self.ray_divisor(ray))
+        )
+        return (0, h1, h0)
 
     def ext_curve_pair(self, ray_i: int, ray_j: int) -> tuple:
         """Ext^*(O_C, O_C') for invariant ray curves, supported when the
@@ -375,8 +371,7 @@ class ToricSurface:
         """
         n = len(self.rays)
         if ray_i == ray_j:
-            c2 = self.self_intersections[ray_i]
-            return (1, max(0, c2 + 1), max(0, -c2 - 1))
+            return (1,) + p1_cohomology(self.self_intersections[ray_i])
         if (ray_j - ray_i) % n in (1, n - 1):
             raise UnsupportedExtError(
                 f"invariant curves of rays {ray_i} and {ray_j} intersect; "
@@ -385,9 +380,6 @@ class ToricSurface:
         return (0, 0, 0)
 
     # --- misc -----------------------------------------------------------------
-
-    def self_intersection_cycle(self) -> tuple:
-        return self.self_intersections
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ToricSurface) and self.rays == other.rays
@@ -452,10 +444,10 @@ def preset(name: str) -> ToricSurface:
         ) from None
 
 
-def random_blowup_surface(rng: random.Random, max_blowups: int = 6) -> ToricSurface:
-    """Random iterated toric blow-up of P2, P1 x P1 or F2."""
+def random_blowup_surface(rng: random.Random) -> ToricSurface:
+    """Random iterated toric blow-up of P2, P1 x P1 or F2, with 0 to 6 blow-ups."""
     s = preset(rng.choice(("P2", "P1xP1", "F2")))
-    for _ in range(rng.randint(0, max_blowups)):
+    for _ in range(rng.randint(0, 6)):
         s = s.blow_up(rng.randrange(s.n_rays))
     return s
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from quivsurf.cli import main
@@ -171,6 +172,17 @@ def test_byte_identical_output(capsys):
     _, first, _ = run_cli(capsys, "toric", "knum", "dP6")
     _, second, _ = run_cli(capsys, "toric", "knum", "dP6")
     assert first == second
+
+
+# sha256 of the `reproduce --m-max 5` report at the default seed 7: the
+# behavioural fixed point that refactors must keep byte for byte.
+REPRODUCE_M5_SHA256 = "960c366eaeb3704e8117a74fa44d3490a149a00a285e52a7506577a0e9c2233b"
+
+
+def test_reproduce_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "reproduce", "--m-max", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPRODUCE_M5_SHA256
 
 
 def test_stdin_input(capsys, monkeypatch):

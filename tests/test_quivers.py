@@ -17,7 +17,6 @@ from quivsurf.quivers import (
     forbidden_full_subquiver,
     full_subquiver,
     gram_from_json,
-    hochschild_vertex_bound,
     kronecker,
     linear_quiver,
     obstruction_report,
@@ -143,6 +142,9 @@ def test_forbidden_subquiver_absent_for_a3():
 def test_forbidden_subquiver_size_bound():
     with pytest.raises(ValueError):
         forbidden_full_subquiver(linear_quiver(16))
+    report = obstruction_report(linear_quiver(16))
+    assert report.rank_chi_minus == 16
+    assert report.forbidden_witness is None
 
 
 def test_forbidden_subquiver_minimality():
@@ -207,12 +209,6 @@ def test_relabel_invariance():
         a, b = obstruction_report(q), obstruction_report(relabelled)
         assert a.rank_chi_minus == b.rank_chi_minus
         assert a.signature_chi_plus == b.signature_chi_plus
-
-
-def test_hochschild_vertex_bound():
-    assert hochschild_vertex_bound(linear_quiver(3), 1)
-    assert not hochschild_vertex_bound(star(5), 3)
-    assert hochschild_vertex_bound(star(5), 6)
 
 
 def test_small_types_pass_and_minimal_forbidden_fail():

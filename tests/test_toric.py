@@ -17,6 +17,7 @@ from quivsurf.toric import (
     fan_to_json,
     hirzebruch,
     neg_divisor,
+    p1_cohomology,
     p1xp1,
     preset,
     projective_plane,
@@ -24,7 +25,7 @@ from quivsurf.toric import (
     sub_divisors,
 )
 
-from oracles import kunneth_quadric
+from oracles import kunneth_quadric, p1_cohomology as p1_cohomology_oracle
 
 
 def cyclic_variants(cycle):
@@ -93,16 +94,12 @@ def test_rejects_duplicates_and_small_fans():
 
 def test_blowup_p2_once_is_f1():
     s = projective_plane().blow_up(0)
-    assert s.self_intersection_cycle() in cyclic_variants(
-        hirzebruch(1).self_intersection_cycle()
-    )
+    assert s.self_intersections in cyclic_variants(hirzebruch(1).self_intersections)
 
 
 def test_blowup_p2_twice_matches_preset():
     s = projective_plane().blow_up(0).blow_up(2)
-    assert blowup_p2(2).self_intersection_cycle() in cyclic_variants(
-        s.self_intersection_cycle()
-    )
+    assert blowup_p2(2).self_intersections in cyclic_variants(s.self_intersections)
 
 
 def test_blowup_preserves_noether_identity():
@@ -329,6 +326,8 @@ def test_ext_line_to_curve_values():
     assert dp6.ext_line_to_curve(two, 0) == (0, 1, 0)
     assert dp6.intersect(dp6.ray_divisor(0), dp6.ray_divisor(0)) == -1
     assert dp6.ext_line_to_curve(dp6.ray_divisor(0), 0) == (2, 0, 0)
+    for d in range(-6, 7):
+        assert p1_cohomology(d) == p1_cohomology_oracle(d)
 
 
 def test_ext_curve_pair_values():
