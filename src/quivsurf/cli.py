@@ -1,7 +1,10 @@
 """Command-line interface with JSON input and output.
 
 Exit codes: 0 success (and, for verifying commands, all checks passed);
-1 a verification gave a negative verdict; 2 malformed or invalid input.
+1 a verification gave a negative verdict; 2 malformed or invalid input,
+including JSON numbers that are not plain integers and negative bounds;
+3 an internal error (a failed exact identity, or input nested too deeply
+to read), reported as one line on stderr and never as a verdict.
 Reports are printed to stdout with sorted keys, so identical inputs give
 byte-identical output; diagnostics go to stderr.
 """
@@ -15,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .quivers import gram_from_json, obstruction_report, quiver_from_json
-from .toric import FanError, PRESETS, divisor_from_json, fan_from_json, preset
+from .toric import ConsistencyError, FanError, PRESETS, divisor_from_json, fan_from_json, preset
 from .exceptional import (
     abc_of,
     collection_from_json,
@@ -30,6 +33,7 @@ SCHEMA = "quivsurf.report/1"
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 class InputError(Exception):
@@ -239,6 +243,9 @@ def main(argv=None) -> int:
     except (InputError, FanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (ConsistencyError, RecursionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from .linalg import json_int
 from .toric import (
     CohDims,
     ToricSurface,
@@ -160,6 +161,7 @@ def abc_of(c: Collection) -> tuple:
 
 def solve_abc(max_value: int) -> list:
     """All triples 0 <= a,b,c <= max_value with a + b = ab + c, in lex order."""
+    _check_bound(max_value, "solve-abc maximum")
     solutions = []
     for a in range(max_value + 1):
         for b in range(max_value + 1):
@@ -176,6 +178,11 @@ class AbcSearchResult:
     diagnostic: Optional[str]
 
 
+def _check_bound(bound: int, what: str) -> None:
+    if bound < 0:
+        raise ValueError(f"{what} must be nonnegative, got {bound}")
+
+
 def _vanishes(coh: CohDims) -> bool:
     return coh == (0, 0, 0)
 
@@ -190,6 +197,7 @@ def search_abc(
     diagnostic; for any strong exceptional triple of line bundles the
     identity a + b = ab + c is forced by Riemann-Roch.
     """
+    _check_bound(bound, "search bound")
     if a + b != a * b + c:
         return AbcSearchResult(
             (a, b, c),
@@ -231,6 +239,7 @@ def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
     rank-one realisation of the n-arrow Kronecker quiver."""
     if n < 1:
         raise ValueError("Kronecker search needs n >= 1")
+    _check_bound(bound, "search bound")
     rho = surface.picard_rank
     found = []
     for v in itertools.product(range(-bound, bound + 1), repeat=rho):
@@ -400,12 +409,13 @@ def collection_from_json(data: dict) -> Collection:
         if not isinstance(entry, dict) or len(entry) != 1:
             raise ValueError(f"collection object must have exactly one key: {entry!r}")
         (kind, value), = entry.items()
-        if kind == "line":
-            objects.append(LineBundle(tuple(int(c) for c in value)))
-        elif kind == "line_pic":
-            objects.append(LineBundle(surface.lift_pic([int(c) for c in value])))
+        if kind in ("line", "line_pic"):
+            if not isinstance(value, list):
+                raise ValueError(f"{kind!r} must be a list of integers, got {value!r}")
+            coeffs = [json_int(c, "divisor coefficient") for c in value]
+            objects.append(LineBundle(surface.lift_pic(coeffs) if kind == "line_pic" else coeffs))
         elif kind == "curve_ray":
-            objects.append(CurveSheaf(int(value)))
+            objects.append(CurveSheaf(json_int(value, "curve ray")))
         else:
             raise ValueError(f"unknown collection object kind {kind!r}")
     return Collection(surface, tuple(objects))

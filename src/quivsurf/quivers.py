@@ -15,7 +15,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import ExactMatrix, Signature, invert_unitriangular, rank_rational, signature_symmetric
+from .linalg import (
+    ExactMatrix,
+    Signature,
+    invert_unitriangular,
+    json_int,
+    rank_rational,
+    signature_symmetric,
+)
 
 # Largest quiver for which the forbidden-subquiver witness is searched: the
 # scan visits up to 2^n vertex subsets.
@@ -328,8 +335,8 @@ def quiver_to_json(q: Quiver) -> dict:
 
 def quiver_from_json(data: dict) -> Quiver:
     try:
-        vertices = int(data["vertices"])
-        arrows = [(int(s), int(t)) for s, t in data["arrows"]]
+        vertices = json_int(data["vertices"], "vertex count")
+        arrows = [(json_int(s, "arrow end"), json_int(t, "arrow end")) for s, t in data["arrows"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed quiver JSON: {exc}") from exc
     return Quiver(vertices, tuple(arrows))
@@ -338,7 +345,7 @@ def quiver_from_json(data: dict) -> Quiver:
 def gram_from_json(data: dict) -> ExactMatrix:
     try:
         rows = data["gram"]
-        m = ExactMatrix.from_rows([[int(x) for x in row] for row in rows])
+        m = ExactMatrix.from_rows([[json_int(x, "Gram entry") for x in row] for row in rows])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Gram-matrix JSON: {exc}") from exc
     if not m.is_square:

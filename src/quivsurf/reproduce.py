@@ -247,8 +247,8 @@ def surface_theorems_item(seed: int = DEFAULT_SEED) -> dict:
             twist_minus_id(twist_minus_id(twist_minus_id(x))).is_zero for x in basis
         )
         duality = all(
-            s.euler_pairing(x, y) == s.euler_pairing(y, s.serre_twist(x))
-            for x in basis
+            s.euler_pairing(x, y) == s.euler_pairing(y, twisted)
+            for x, twisted in zip(basis, map(s.serre_twist, basis))
             for y in basis
         )
         noether = s.k_squared() + s.n_rays == 12

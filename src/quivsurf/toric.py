@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, json_int
 
 
 class FanError(ValueError):
@@ -102,6 +102,11 @@ def _angle_cmp(a, b) -> int:
     return 0
 
 
+def _twice(ch2: Fraction) -> int:
+    """2 * ch2 for an integer or half-integer ch2."""
+    return ch2.numerator * 2 // ch2.denominator
+
+
 def p1_cohomology(d: int) -> tuple:
     """(h0, h1) of O(d) on the projective line."""
     return (max(0, d + 1), max(0, -d - 1))
@@ -152,8 +157,19 @@ class ToricSurface:
                 raise ConsistencyError(f"wall relation failed at ray {rays[i]}")
             selfints.append(-p)
         self.self_intersections: tuple = tuple(selfints)
+        # Ray pairs (i, j, det = v_i x v_j) whose boundary lines
+        # <m, v_i> = -d_i and <m, v_j> = -d_j meet in one point.
+        self._line_pairs: tuple = tuple(
+            (i, j, _cross(rays[i], rays[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if _cross(rays[i], rays[j]) != 0
+        )
         self._h0_cache: dict = {}
-        if self.intersect(self.canonical, self.canonical) + n != 12:
+        # canonical divisor -sum(D_i)
+        self.canonical: tuple = (-1,) * n
+        self._k_squared = self.intersect(self.canonical, self.canonical)
+        if self._k_squared + n != 12:
             raise ConsistencyError("Noether identity K^2 + #rays = 12 failed")
 
     # --- basic invariants ---------------------------------------------------
@@ -165,11 +181,6 @@ class ToricSurface:
     @property
     def picard_rank(self) -> int:
         return len(self.rays) - 2
-
-    @property
-    def canonical(self) -> tuple:
-        """Canonical divisor -sum(D_i)."""
-        return tuple(-1 for _ in self.rays)
 
     def zero_divisor(self) -> tuple:
         return tuple(0 for _ in self.rays)
@@ -202,27 +213,30 @@ class ToricSurface:
 
     # --- intersection theory --------------------------------------------------
 
+    def _ray_products(self, d: tuple) -> list:
+        """The products D.D_i of a checked divisor with every ray divisor:
+        d_{i-1} + d_i D_i^2 + d_{i+1}, from the table D_i.D_j."""
+        prev, nxt = d[-1:] + d[:-1], d[1:] + d[:1]
+        return [a + b * s + c for a, b, s, c in zip(prev, d, self.self_intersections, nxt)]
+
+    def _dot(self, d: tuple, e: tuple) -> int:
+        """D.E for checked divisors."""
+        return sum(a * p for a, p in zip(d, self._ray_products(e)))
+
     def intersect(self, d: Sequence[int], e: Sequence[int]) -> int:
         """Intersection number, bilinear in the table D_i.D_j."""
-        d = self._check_divisor(d)
-        e = self._check_divisor(e)
-        n = len(self.rays)
-        total = 0
-        for i, di in enumerate(d):
-            if di == 0:
-                continue
-            total += di * (
-                e[i] * self.self_intersections[i] + e[i - 1] + e[(i + 1) % n]
-            )
-        return total
+        return self._dot(self._check_divisor(d), self._check_divisor(e))
 
     def k_squared(self) -> int:
-        return self.intersect(self.canonical, self.canonical)
+        return self._k_squared
 
     def rr_chi(self, d: Sequence[int]) -> int:
         """Euler characteristic by Riemann-Roch: 1 + (D^2 - K.D)/2."""
-        d = self._check_divisor(d)
-        num = self.intersect(d, d) - self.intersect(self.canonical, d)
+        return self._chi(self._check_divisor(d))
+
+    def _chi(self, d: tuple) -> int:
+        # D^2 - K.D = sum (d_i + 1) p_i with p_i = D.D_i, since K = -sum D_i
+        num = sum((a + 1) * p for a, p in zip(d, self._ray_products(d)))
         if num % 2 != 0:
             raise ConsistencyError(f"Riemann-Roch parity failed for divisor {d}")
         return 1 + num // 2
@@ -235,29 +249,31 @@ class ToricSurface:
         The polytope is compact because the rays positively span the plane;
         its vertices lie among the pairwise intersections of the boundary
         lines, so enumerating the integer bounding box of those intersection
-        points is exhaustive.
+        points is exhaustive. Each intersection point is (px, py) / det with
+        integer numerators, so the box is found in integers: its x-range runs
+        from the least ceiling -(-px // det) to the greatest floor px // det
+        (floor division is exact for either sign of det), and likewise in y.
         """
         d = self._check_divisor(d)
         cached = self._h0_cache.get(d)
         if cached is not None:
             return cached
         rays = self.rays
-        n = len(rays)
-        xs, ys = [], []
-        for i in range(n):
-            for j in range(i + 1, n):
-                det = _cross(rays[i], rays[j])
-                if det == 0:
-                    continue
-                # solve <m, v_i> = -d_i, <m, v_j> = -d_j
-                xs.append(Fraction(d[j] * rays[i][1] - d[i] * rays[j][1], det))
-                ys.append(Fraction(d[i] * rays[j][0] - d[j] * rays[i][0], det))
+        x_lo, x_hi, y_lo, y_hi = [], [], [], []
+        for i, j, det in self._line_pairs:
+            (xi, yi), (xj, yj) = rays[i], rays[j]
+            # solve <m, v_i> = -d_i, <m, v_j> = -d_j
+            px = d[j] * yi - d[i] * yj
+            py = d[i] * xj - d[j] * xi
+            x_lo.append(-(-px // det))
+            x_hi.append(px // det)
+            y_lo.append(-(-py // det))
+            y_hi.append(py // det)
         count = 0
-        if xs:
-            for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
-                for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1):
-                    if all(x * v[0] + y * v[1] >= -di for v, di in zip(rays, d)):
-                        count += 1
+        for x in range(min(x_lo), max(x_hi) + 1):
+            for y in range(min(y_lo), max(y_hi) + 1):
+                if all(x * v[0] + y * v[1] >= -di for v, di in zip(rays, d)):
+                    count += 1
         self._h0_cache[d] = count
         return count
 
@@ -266,8 +282,8 @@ class ToricSurface:
         against K - D), h1 forced by Riemann-Roch."""
         d = self._check_divisor(d)
         h0 = self.h0_lattice_points(d)
-        h2 = self.h0_lattice_points(sub_divisors(self.canonical, d))
-        h1 = h0 + h2 - self.rr_chi(d)
+        h2 = self.h0_lattice_points(tuple(-1 - c for c in d))  # K - D
+        h1 = h0 + h2 - self._chi(d)
         if h1 < 0:
             raise ConsistencyError(f"negative h1 for divisor {d}")
         return CohDims(h0, h1, h2)
@@ -305,18 +321,19 @@ class ToricSurface:
         chi(x, y) = r_x ch2_y + r_y ch2_x - c1_x.c1_y
                     - (K/2).(r_x c1_y - r_y c1_x) + r_x r_y.
         """
-        k = self.canonical
-        mixed = tuple(x.rank * b - y.rank * a for a, b in zip(x.c1, y.c1))
-        val = (
-            x.rank * y.ch2
-            + y.rank * x.ch2
-            - self.intersect(x.c1, y.c1)
-            - Fraction(self.intersect(k, mixed), 2)
-            + x.rank * y.rank
+        cx, cy = self._check_divisor(x.c1), self._check_divisor(y.c1)
+        mixed = tuple(x.rank * b - y.rank * a for a, b in zip(cx, cy))
+        # twice the pairing, in integers; -K.mixed is the sum of mixed.D_i
+        twice = (
+            x.rank * _twice(y.ch2)
+            + y.rank * _twice(x.ch2)
+            - 2 * self._dot(cx, cy)
+            + sum(self._ray_products(mixed))
+            + 2 * x.rank * y.rank
         )
-        if val.denominator != 1:
-            raise ConsistencyError(f"non-integral Euler pairing {val}")
-        return int(val)
+        if twice % 2 != 0:
+            raise ConsistencyError(f"non-integral Euler pairing {twice}/2")
+        return twice // 2
 
     def serre_twist(self, x: KClass) -> KClass:
         """Twist by the canonical bundle; the shift acts trivially on classes."""
@@ -324,7 +341,7 @@ class ToricSurface:
         return KClass(
             x.rank,
             tuple(c + x.rank * kc for c, kc in zip(x.c1, k)),
-            x.ch2 + self.intersect(x.c1, k) + Fraction(x.rank * self.k_squared(), 2),
+            x.ch2 + self.intersect(x.c1, k) + Fraction(x.rank * self._k_squared, 2),
         )
 
     def knum_basis(self) -> tuple:
@@ -461,7 +478,7 @@ def fan_to_json(s: ToricSurface) -> dict:
 
 def fan_from_json(data: dict) -> ToricSurface:
     try:
-        rays = [tuple(int(c) for c in r) for r in data["rays"]]
+        rays = [tuple(json_int(c, "ray coordinate") for c in r) for r in data["rays"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed fan JSON: {exc}") from exc
     return ToricSurface(rays)
@@ -473,7 +490,10 @@ def divisor_from_json(s: ToricSurface, data) -> tuple:
     if isinstance(data, dict):
         if set(data) != {"pic"}:
             raise ValueError("divisor object must have exactly the key 'pic'")
-        return s.lift_pic([int(c) for c in data["pic"]])
+        pic = data["pic"]
+        if not isinstance(pic, list):
+            raise ValueError("'pic' must be a list of integers")
+        return s.lift_pic([json_int(c, "divisor coefficient") for c in pic])
     if isinstance(data, (list, tuple)):
-        return s._check_divisor([int(c) for c in data])
+        return s._check_divisor([json_int(c, "divisor coefficient") for c in data])
     raise ValueError("divisor must be a coefficient list or a {'pic': [...]} object")

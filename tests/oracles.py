@@ -2,12 +2,15 @@
 
 These deliberately avoid the code paths they check: the signature oracle
 goes through the characteristic polynomial, path counts come from a direct
-DFS, and the quadric cohomology comes from the closed-form rational-curve
-formulas combined degree by degree.
+DFS, the quadric cohomology comes from the closed-form rational-curve
+formulas combined degree by degree, and the toric formulas (lattice-point
+box, intersection table, Riemann-Roch, Euler pairing) are the rational
+Fraction versions that the integer code paths replace.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -132,3 +135,66 @@ def random_unitriangular(rng: random.Random, n: int, magnitude: int = 3) -> Exac
             if (j > i) if upper else (j < i):
                 a[i][j] = rng.randint(-magnitude, magnitude)
     return ExactMatrix.from_rows(a)
+
+
+# --- toric surfaces ------------------------------------------------------------
+
+
+def h0_fraction_box(surface, d) -> int:
+    """Lattice points of {m : <m, v_i> >= -d_i}, scanning the integer
+    bounding box of the pairwise boundary-line intersections, which are
+    computed as Fractions."""
+    rays = surface.rays
+    xs, ys = [], []
+    for i in range(len(rays)):
+        for j in range(i + 1, len(rays)):
+            det = rays[i][0] * rays[j][1] - rays[i][1] * rays[j][0]
+            if det == 0:
+                continue
+            xs.append(Fraction(d[j] * rays[i][1] - d[i] * rays[j][1], det))
+            ys.append(Fraction(d[i] * rays[j][0] - d[j] * rays[i][0], det))
+    return sum(
+        1
+        for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)
+        for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1)
+        if all(x * v[0] + y * v[1] >= -di for v, di in zip(rays, d))
+    )
+
+
+def intersect_by_table(surface, d, e) -> int:
+    """D.E from the intersection table: D_i^2 on the diagonal, 1 for
+    adjacent rays (distinct, as there are at least 3), 0 otherwise."""
+    n = surface.n_rays
+    total = 0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                entry = surface.self_intersections[i]
+            elif (i - j) % n in (1, n - 1):
+                entry = 1
+            else:
+                entry = 0
+            total += d[i] * e[j] * entry
+    return total
+
+
+def rr_chi_by_intersect(surface, d) -> Fraction:
+    """1 + (D^2 - K.D)/2 as a Fraction, with K = -sum D_i."""
+    k = (-1,) * surface.n_rays
+    return 1 + Fraction(
+        intersect_by_table(surface, d, d) - intersect_by_table(surface, k, d), 2
+    )
+
+
+def euler_pairing_fraction(surface, x, y) -> Fraction:
+    """chi(x, y) = r_x ch2_y + r_y ch2_x - c1_x.c1_y
+    - (K/2).(r_x c1_y - r_y c1_x) + r_x r_y, in Fractions."""
+    k = (-1,) * surface.n_rays
+    mixed = [x.rank * b - y.rank * a for a, b in zip(x.c1, y.c1)]
+    return (
+        x.rank * y.ch2
+        + y.rank * x.ch2
+        - intersect_by_table(surface, x.c1, y.c1)
+        - Fraction(intersect_by_table(surface, k, mixed), 2)
+        + x.rank * y.rank
+    )

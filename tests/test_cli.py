@@ -1,7 +1,10 @@
 import hashlib
 import json
 
+import pytest
+
 from quivsurf.cli import main
+from quivsurf.toric import ConsistencyError, ToricSurface
 
 
 def run_cli(capsys, *argv):
@@ -200,3 +203,73 @@ def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "obstruct", "/nonexistent/q.json")
     assert code == 2
     assert "no such file" in err
+
+
+# --- strict inputs and exit codes -------------------------------------------
+
+P2_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]]}
+
+
+@pytest.mark.parametrize(
+    "divisor",
+    ["[1.7, true, 0]", "[1, 0, true]", "[1.0, 0, 0]", '[1, "1", 0]', '{"pic": [false]}', '{"pic": "1"}'],
+)
+def test_toric_coh_rejects_non_integer_divisor(capsys, divisor):
+    code, out, err = run_cli(capsys, "toric", "coh", "P2", "-d", divisor)
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (("toric", "knum"), {"rays": [[1, 0], [0, 1.0], [-1, -1]]}),
+        (("toric", "knum"), {"rays": [[1, 0], [0, True], [-1, -1]]}),
+        (("obstruct",), {"vertices": 2.9, "arrows": [[0, 1]]}),
+        (("obstruct",), {"vertices": 2, "arrows": [[0, 1.7]]}),
+        (("obstruct",), {"vertices": 2, "arrows": [[False, 1]]}),
+        (("obstruct",), {"vertices": 2, "arrows": ["01"]}),
+        (("obstruct",), {"gram": [[1, 0], [True, 1]]}),
+        (("obstruct",), {"gram": [[1, 0.5], [0, 1]]}),
+        (("verify",), {"fan": {"rays": [[1, 0], [0, 1.5], [-1, -1]]}, "objects": [{"line": [0, 0, 0]}]}),
+        (("verify",), {"fan": P2_FAN, "objects": [{"line": [0, 0, 0.5]}]}),
+        (("verify",), {"fan": P2_FAN, "objects": [{"line": 0}]}),
+        (("verify",), {"fan": P2_FAN, "objects": [{"line_pic": ["1"]}]}),
+        (("verify",), {"fan": P2_FAN, "objects": [{"line": [0, 0, 0]}, {"curve_ray": True}]}),
+    ],
+)
+def test_json_readers_reject_non_integers(tmp_path, capsys, command, payload):
+    path = write_json(tmp_path, "input.json", payload)
+    code, out, err = run_cli(capsys, *command, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_negative_bounds_are_input_errors(capsys):
+    code, out, err = run_cli(capsys, "search", "dP6", "1", "3", "1", "--bound", "-1")
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
+    code, out, err = run_cli(capsys, "solve-abc", "--max", "-3")
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
+
+
+def test_deeply_nested_json_is_an_internal_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "obstruct", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: RecursionError")
+    assert err.count("\n") == 1
+
+
+def test_consistency_error_is_an_internal_error(capsys, monkeypatch):
+    def broken(self, d):
+        raise ConsistencyError("Riemann-Roch parity failed")
+
+    monkeypatch.setattr(ToricSurface, "cohomology", broken)
+    code, out, err = run_cli(capsys, "toric", "coh", "P2", "-d", "[1, 0, 0]")
+    assert (code, out) == (3, "")
+    assert err == "internal error: ConsistencyError: Riemann-Roch parity failed\n"

@@ -132,6 +132,19 @@ def test_solve_abc_families():
     assert sols == sorted(sols)
 
 
+def test_negative_bounds_raise():
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_abc(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        search_abc(blowup_p2(3), 1, 3, 1, bound=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        search_abc(p1xp1(), 3, 2, 0, bound=-1)  # checked before the triple
+    with pytest.raises(ValueError, match="nonnegative"):
+        search_kronecker(p1xp1(), 1, -1)
+    assert solve_abc(0) == [(0, 0, 0)]
+    assert search_kronecker(p1xp1(), 1, 0) == ()
+
+
 def test_search_rejects_impossible_triple():
     outcome = search_abc(p1xp1(), 3, 2, 0, bound=1)
     assert outcome.pairs == ()

@@ -1,0 +1,95 @@
+"""Property tests: the integer toric formulas against their Fraction oracles
+on random iterated blow-ups of P2, P1 x P1 and F2."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quivsurf.toric import ConsistencyError, KClass, random_blowup_surface
+
+from oracles import (
+    euler_pairing_fraction,
+    h0_fraction_box,
+    intersect_by_table,
+    rr_chi_by_intersect,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+surfaces = st.integers(0, 2**32).map(lambda seed: random_blowup_surface(random.Random(seed)))
+
+# small coefficients give nonempty polytopes of every shape; the large
+# negative ones give empty polytopes inside wide bounding boxes
+coefficients = st.one_of(st.integers(-6, 6), st.integers(-25, -12))
+
+
+def divisors(surface, elements=coefficients):
+    return st.lists(elements, min_size=surface.n_rays, max_size=surface.n_rays).map(tuple)
+
+
+@PROPERTY
+@given(surfaces, st.data())
+def test_h0_integer_box_matches_fraction_oracle(s, data):
+    d = data.draw(divisors(s))
+    assert s.h0_lattice_points(d) == h0_fraction_box(s, d)
+
+
+@PROPERTY
+@given(surfaces, st.data())
+def test_h0_of_negative_divisors_is_zero(s, data):
+    d = data.draw(divisors(s, st.integers(-12, -1)))
+    assert s.h0_lattice_points(d) == 0 == h0_fraction_box(s, d)
+
+
+@PROPERTY
+@given(surfaces, st.data())
+def test_rr_chi_and_intersect_match_table_formula(s, data):
+    d = data.draw(divisors(s, st.integers(-10**6, 10**6)))
+    e = data.draw(divisors(s, st.integers(-10**6, 10**6)))
+    assert s.rr_chi(d) == rr_chi_by_intersect(s, d)
+    assert s.intersect(d, e) == intersect_by_table(s, d, e) == s.intersect(e, d)
+
+
+@PROPERTY
+@given(surfaces, st.data())
+def test_cohomology_matches_oracle_counts(s, data):
+    d = data.draw(divisors(s, st.integers(-6, 6)))
+    k_minus_d = tuple(-1 - c for c in d)
+    h0, h1, h2 = s.cohomology(d)
+    assert (h0, h2) == (h0_fraction_box(s, d), h0_fraction_box(s, k_minus_d))
+    assert h0 - h1 + h2 == rr_chi_by_intersect(s, d)
+
+
+def kclasses(surface):
+    return st.builds(
+        KClass,
+        st.integers(-3, 3),
+        divisors(surface, st.integers(-5, 5)),
+        st.integers(-20, 20).map(lambda k: Fraction(k, 2)),
+    )
+
+
+@PROPERTY
+@given(surfaces, st.data())
+def test_euler_pairing_matches_fraction_formula(s, data):
+    x, y = data.draw(kclasses(s)), data.draw(kclasses(s))
+    expected = euler_pairing_fraction(s, x, y)
+    if expected.denominator == 1:
+        assert s.euler_pairing(x, y) == expected
+    else:
+        with pytest.raises(ConsistencyError):
+            s.euler_pairing(x, y)
+
+
+@PROPERTY
+@given(surfaces, st.data())
+def test_euler_pairing_on_realisable_classes(s, data):
+    line = s.kclass_line(data.draw(divisors(s, st.integers(-5, 5))))
+    i = data.draw(st.integers(0, s.n_rays - 1))
+    curve = s.kclass_curve(s.ray_divisor(i))
+    for x in (line, curve, s.kclass_point()):
+        for y in (line, curve, s.kclass_point()):
+            assert s.euler_pairing(x, y) == euler_pairing_fraction(s, x, y)
+            assert s.euler_pairing(x, y) == s.euler_pairing(y, s.serre_twist(x))
