@@ -6,13 +6,15 @@ including JSON numbers that are not plain integers and negative bounds;
 3 an internal error (a failed exact identity, or input nested too deeply
 to read), reported as one line on stderr and never as a verdict.
 Reports are printed to stdout with sorted keys, so identical inputs give
-byte-identical output; diagnostics go to stderr.
+byte-identical output; diagnostics go to stderr. A closed stdout loses the
+report but neither prints a traceback nor changes the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -72,7 +74,12 @@ def _report(command: str, payload: dict, ok: bool = True) -> dict:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): point stdout at devnull
+        # so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_obstruct(args) -> int:

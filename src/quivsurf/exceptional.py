@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Union
 
 from .linalg import json_int
 from .toric import (
-    CohDims,
     ToricSurface,
     add_divisors,
     blowup_p2,
@@ -183,8 +182,14 @@ def _check_bound(bound: int, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative, got {bound}")
 
 
-def _vanishes(coh: CohDims) -> bool:
-    return coh == (0, 0, 0)
+def pair_hom(surface: ToricSurface, d: Sequence[int]) -> Optional[int]:
+    """n when (O, O(D)) is a strong exceptional pair with n morphisms, that
+    is O(D) has cohomology (n, 0, 0) and O(-D) has none; None otherwise.
+    D is given in ray coefficients."""
+    h0, h1, h2 = surface.cohomology(d)
+    if h1 or h2 or surface.cohomology(neg_divisor(d)) != (0, 0, 0):
+        return None
+    return h0
 
 
 def search_abc(
@@ -205,32 +210,17 @@ def search_abc(
             f"no strong exceptional triple of line bundles can realise (a,b,c)=({a},{b},{c}): "
             f"a+b={a + b} but ab+c={a * b + c}, and a+b=ab+c is forced",
         )
-    rho = surface.picard_rank
-    coh_cache: dict = {}
-
-    def coh(vec) -> CohDims:
-        got = coh_cache.get(vec)
-        if got is None:
-            got = surface.cohomology(surface.lift_pic(vec))
-            coh_cache[vec] = got
-        return got
-
-    box = list(itertools.product(range(-bound, bound + 1), repeat=rho))
-    d_candidates = [
-        v for v in box if coh(v) == (a, 0, 0) and _vanishes(coh(tuple(-x for x in v)))
-    ]
-    e_candidates = [
-        v
-        for v in box
-        if coh(v) == (a * b + c, 0, 0) and _vanishes(coh(tuple(-x for x in v)))
-    ]
-    pairs = []
-    for d in d_candidates:
-        for e in e_candidates:
-            diff = tuple(ei - di for di, ei in zip(d, e))
-            if coh(diff) == (b, 0, 0) and _vanishes(coh(tuple(-x for x in diff))):
-                pairs.append((d, e))
-    return AbcSearchResult((a, b, c), tuple(pairs), None)
+    box = list(itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank))
+    homs = [pair_hom(surface, surface.lift_pic(v)) for v in box]
+    d_candidates = [v for v, n in zip(box, homs) if n == a]
+    e_candidates = [v for v, n in zip(box, homs) if n == a * b + c]
+    pairs = tuple(
+        (d, e)
+        for d in d_candidates
+        for e in e_candidates
+        if pair_hom(surface, surface.lift_pic(sub_divisors(e, d))) == b
+    )
+    return AbcSearchResult((a, b, c), pairs, None)
 
 
 def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
@@ -240,14 +230,11 @@ def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
     if n < 1:
         raise ValueError("Kronecker search needs n >= 1")
     _check_bound(bound, "search bound")
-    rho = surface.picard_rank
-    found = []
-    for v in itertools.product(range(-bound, bound + 1), repeat=rho):
-        if surface.cohomology(surface.lift_pic(v)) == (n, 0, 0) and _vanishes(
-            surface.cohomology(neg_divisor(surface.lift_pic(v)))
-        ):
-            found.append(v)
-    return tuple(found)
+    return tuple(
+        v
+        for v in itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank)
+        if pair_hom(surface, surface.lift_pic(v)) == n
+    )
 
 
 # --- the star family ---------------------------------------------------------
@@ -357,25 +344,21 @@ class TableCase:
 def check_table_case(
     surface: ToricSurface, abc: tuple, d_pic: Sequence[int], e_pic: Sequence[int]
 ) -> tuple:
-    """The six cohomological facts certifying one (a,b,c | D,E) entry:
-    full vanishing for -D, -E and D-E, and (x, 0, 0) cohomology with
-    x = a, b, ab+c for D, E-D and E respectively."""
+    """The strong exceptional pairs (O, O(X)) with a, b and ab+c morphisms
+    for X = D, E-D and E that certify one (a,b,c | D,E) entry: the six
+    cohomology facts for D, E-D, E and -D, D-E, -E."""
     a, b, c = abc
     d = surface.lift_pic(d_pic)
     e = surface.lift_pic(e_pic)
-    checks = (
-        ("-D", neg_divisor(d), (0, 0, 0)),
-        ("-E", neg_divisor(e), (0, 0, 0)),
-        ("D-E", sub_divisors(d, e), (0, 0, 0)),
-        ("D", d, (a, 0, 0)),
-        ("E-D", sub_divisors(e, d), (b, 0, 0)),
-        ("E", e, (a * b + c, 0, 0)),
-    )
+    pairs = (("D", "-D", d, a), ("E-D", "D-E", sub_divisors(e, d), b), ("E", "-E", e, a * b + c))
     failures = []
-    for label, divisor, expected in checks:
-        got = tuple(surface.cohomology(divisor))
-        if got != expected:
-            failures.append(f"{label}: cohomology {got}, expected {expected}")
+    for label, neg_label, divisor, expected in pairs:
+        if pair_hom(surface, divisor) != expected:
+            failures.append(
+                f"(O, O({label})) is not a strong exceptional pair with {expected} morphisms: "
+                f"O({label}) has cohomology {tuple(surface.cohomology(divisor))}, "
+                f"O({neg_label}) has {tuple(surface.cohomology(neg_divisor(divisor)))}"
+            )
     return tuple(failures)
 
 

@@ -8,6 +8,7 @@ decisions (and hence signatures) are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -127,15 +128,18 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
-def rank_rational(m: ExactMatrix) -> int:
-    """Rank over Q by exact Gaussian elimination."""
+def _eliminate(m: ExactMatrix) -> tuple:
+    """Row echelon form by exact Gaussian elimination:
+    (rank, echelon rows, sign of the row permutation)."""
     a = [list(row) for row in m.entries]
-    rank = 0
+    rank, sign = 0, 1
     for col in range(m.cols):
         pivot = next((r for r in range(rank, m.rows) if a[r][col] != 0), None)
         if pivot is None:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
         pv = a[rank][col]
         for r in range(rank + 1, m.rows):
             if a[r][col] != 0:
@@ -145,7 +149,21 @@ def rank_rational(m: ExactMatrix) -> int:
         rank += 1
         if rank == m.rows:
             break
-    return rank
+    return rank, a, sign
+
+
+def rank_rational(m: ExactMatrix) -> int:
+    """Rank over Q by exact Gaussian elimination."""
+    return _eliminate(m)[0]
+
+
+def det_rational(m: ExactMatrix) -> Fraction:
+    """Determinant: the signed product of the echelon diagonal, which holds
+    the pivots at full rank and ends in a zero row below full rank."""
+    if not m.is_square:
+        raise ValueError("determinant requires a square matrix")
+    _, a, sign = _eliminate(m)
+    return sign * math.prod(a[i][i] for i in range(m.rows))
 
 
 def signature_symmetric(m: ExactMatrix) -> Signature:

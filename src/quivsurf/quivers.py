@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .linalg import (
     ExactMatrix,
     Signature,
+    det_rational,
     invert_unitriangular,
     json_int,
     rank_rational,
@@ -25,7 +26,7 @@ from .linalg import (
 )
 
 # Largest quiver for which the forbidden-subquiver witness is searched: the
-# scan visits up to 2^n vertex subsets.
+# scan visits up to C(15, 4) = 1,365 four-vertex subsets.
 SUBQUIVER_BOUND = 15
 
 
@@ -166,20 +167,20 @@ def full_subquiver(q: Quiver, subset: Sequence[int]) -> Quiver:
 def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
     """Smallest vertex subset whose induced subquiver has rank(chi^-) > 2.
 
-    Subsets are scanned in increasing cardinality (lexicographic within a
-    cardinality), starting at four vertices since a skew form of rank > 2
-    has rank at least 4. Returns None when no forbidden subquiver exists.
+    Only four-vertex subsets are scanned, lexicographically. That is exact:
+    a skew form of rank >= 4 has a nonsingular principal minor of that size,
+    and Pfaffian expansion descends through nonzero principal Pfaffians to
+    a nonsingular principal 4x4 minor. Returns None when rank(chi^-) <= 2.
     """
     if q.vertices > SUBQUIVER_BOUND:
         raise ValueError(
             f"full-subquiver search is limited to {SUBQUIVER_BOUND} vertices "
             f"(quiver has {q.vertices})"
         )
-    for size in range(4, q.vertices + 1):
-        for subset in itertools.combinations(range(q.vertices), size):
-            sub = full_subquiver(q, subset)
-            if rank_rational(chi_minus(euler_matrix_simples(sub))) > 2:
-                return subset
+    for subset in itertools.combinations(range(q.vertices), 4):
+        sub = full_subquiver(q, subset)
+        if rank_rational(chi_minus(euler_matrix_simples(sub))) > 2:
+            return subset
     return None
 
 
@@ -350,4 +351,7 @@ def gram_from_json(data: dict) -> ExactMatrix:
         raise ValueError(f"malformed Gram-matrix JSON: {exc}") from exc
     if not m.is_square:
         raise ValueError("Gram matrix must be square")
+    det = det_rational(m)
+    if det not in (1, -1):
+        raise ValueError(f"Gram matrix must be unimodular, but its determinant is {det}")
     return m

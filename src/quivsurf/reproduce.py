@@ -18,10 +18,9 @@ from .quivers import (
 )
 from .toric import (
     blowup_p2,
-    hirzebruch,
     p1_cohomology,
     p1xp1,
-    projective_plane,
+    preset,
     random_blowup_surface,
 )
 from .exceptional import (
@@ -221,15 +220,8 @@ def star_family_item() -> dict:
 
 
 def surface_theorems_item(seed: int = DEFAULT_SEED) -> dict:
-    surfaces = [
-        ("P2", projective_plane()),
-        ("P1xP1", p1xp1()),
-        ("F2", hirzebruch(2)),
-        ("F3", hirzebruch(3)),
-        ("Bl1P2", blowup_p2(1)),
-        ("Bl2P2", blowup_p2(2)),
-        ("Bl3P2", blowup_p2(3)),
-    ]
+    presets = ("P2", "P1xP1", "F2", "F3", "Bl1P2", "Bl2P2", "Bl3P2")
+    surfaces = [(name, preset(name)) for name in presets]
     rng = random.Random(seed)
     surfaces += [
         (f"random{i}", random_blowup_surface(rng)) for i in range(RANDOM_SURFACES)
@@ -285,12 +277,8 @@ def kunneth_item() -> dict:
     mismatches = []
     for a in range(-4, 5):
         for b in range(-4, 5):
-            ha, hb = p1_cohomology(a), p1_cohomology(b)
-            expected = (
-                ha[0] * hb[0],
-                ha[0] * hb[1] + ha[1] * hb[0],
-                ha[1] * hb[1],
-            )
+            (a0, a1), (b0, b1) = p1_cohomology(a), p1_cohomology(b)
+            expected = (a0 * b0, a0 * b1 + a1 * b0, a1 * b1)
             got = tuple(quad.cohomology(quad.lift_pic((a, b))))
             if got != expected:
                 mismatches.append({"bidegree": [a, b], "got": list(got), "expected": list(expected)})

@@ -165,7 +165,7 @@ class ToricSurface:
             for j in range(i + 1, n)
             if _cross(rays[i], rays[j]) != 0
         )
-        self._h0_cache: dict = {}
+        self._coh_cache: dict = {}  # checked divisor -> CohDims
         # canonical divisor -sum(D_i)
         self.canonical: tuple = (-1,) * n
         self._k_squared = self.intersect(self.canonical, self.canonical)
@@ -255,9 +255,10 @@ class ToricSurface:
         (floor division is exact for either sign of det), and likewise in y.
         """
         d = self._check_divisor(d)
-        cached = self._h0_cache.get(d)
-        if cached is not None:
-            return cached
+        if max(d) <= 0 and min(d) < 0:
+            # The rays satisfy a relation sum c_i v_i = 0 with every c_i > 0,
+            # so <m, v_i> >= -d_i >= 0, strictly for some i, has no solution.
+            return 0
         rays = self.rays
         x_lo, x_hi, y_lo, y_hi = [], [], [], []
         for i, j, det in self._line_pairs:
@@ -274,19 +275,22 @@ class ToricSurface:
             for y in range(min(y_lo), max(y_hi) + 1):
                 if all(x * v[0] + y * v[1] >= -di for v, di in zip(rays, d)):
                     count += 1
-        self._h0_cache[d] = count
         return count
 
     def cohomology(self, d: Sequence[int]) -> CohDims:
         """Cohomology of O(D): h0 and h2 by lattice counts (h2 via duality
-        against K - D), h1 forced by Riemann-Roch."""
+        against K - D), h1 forced by Riemann-Roch. Memoised per surface."""
         d = self._check_divisor(d)
+        cached = self._coh_cache.get(d)
+        if cached is not None:
+            return cached
         h0 = self.h0_lattice_points(d)
         h2 = self.h0_lattice_points(tuple(-1 - c for c in d))  # K - D
         h1 = h0 + h2 - self._chi(d)
         if h1 < 0:
             raise ConsistencyError(f"negative h1 for divisor {d}")
-        return CohDims(h0, h1, h2)
+        coh = self._coh_cache[d] = CohDims(h0, h1, h2)
+        return coh
 
     # --- blow-ups ------------------------------------------------------------
 

@@ -5,11 +5,14 @@ goes through the characteristic polynomial, path counts come from a direct
 DFS, the quadric cohomology comes from the closed-form rational-curve
 formulas combined degree by degree, and the toric formulas (lattice-point
 box, intersection table, Riemann-Roch, Euler pairing) are the rational
-Fraction versions that the integer code paths replace.
+Fraction versions that the integer code paths replace. The witness scan
+over subsets of every size and the searches that compare raw cohomology
+triples are the versions that the four-vertex scan and `pair_hom` replace.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -127,6 +130,35 @@ def random_acyclic_quiver(rng: random.Random, max_vertices: int = 6):
     return Quiver(n, tuple(arrows))
 
 
+def rank_one_bipartite_quiver(rng: random.Random, max_vertices: int):
+    """Random quiver with a_ij = x_i y_j arrows from sources i to sinks j.
+    Its chi^- is x y^t - y x^t, of rank at most 2, so it passes the rank
+    obstruction and has no forbidden full subquiver."""
+    from quivsurf.quivers import Quiver
+
+    n = rng.randint(1, max_vertices)
+    sources = [v for v in range(n) if rng.random() < 0.5]
+    sinks = [v for v in range(n) if v not in sources]
+    x = {v: rng.choice((0, 1, 1, 2)) for v in sources}
+    y = {v: rng.choice((0, 1, 1, 2)) for v in sinks}
+    arrows = [(i, j) for i in sources for j in sinks for _ in range(x[i] * y[j])]
+    return Quiver(n, tuple(arrows))
+
+
+def forbidden_subquiver_all_sizes(quiver):
+    """Smallest, then lexicographically first, vertex subset whose full
+    subquiver has rank(chi^-) > 2, scanning subsets of every size."""
+    from quivsurf.linalg import rank_rational
+    from quivsurf.quivers import chi_minus, euler_matrix_simples, full_subquiver
+
+    for size in range(4, quiver.vertices + 1):
+        for subset in itertools.combinations(range(quiver.vertices), size):
+            sub = full_subquiver(quiver, subset)
+            if rank_rational(chi_minus(euler_matrix_simples(sub))) > 2:
+                return subset
+    return None
+
+
 def random_unitriangular(rng: random.Random, n: int, magnitude: int = 3) -> ExactMatrix:
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     upper = rng.random() < 0.5
@@ -197,4 +229,39 @@ def euler_pairing_fraction(surface, x, y) -> Fraction:
         - intersect_by_table(surface, x.c1, y.c1)
         - Fraction(intersect_by_table(surface, k, mixed), 2)
         + x.rank * y.rank
+    )
+
+
+def raw_cohomology(surface, d) -> tuple:
+    """(h0, h1, h2) of O(D) from two lattice counts and Riemann-Roch,
+    bypassing the surface's cohomology cache."""
+    h0 = surface.h0_lattice_points(d)
+    h2 = surface.h0_lattice_points(tuple(-1 - c for c in d))
+    return (h0, h0 + h2 - surface.rr_chi(d), h2)
+
+
+def _strong_pair(coh, v, n) -> bool:
+    return coh(v) == (n, 0, 0) and coh(tuple(-x for x in v)) == (0, 0, 0)
+
+
+def search_abc_by_triples(coh, rho, a, b, c, bound) -> tuple:
+    """The (D, E) pairs of search_abc, comparing raw triples: coh maps a
+    Picard vector to the cohomology triple of its divisor."""
+    box = list(itertools.product(range(-bound, bound + 1), repeat=rho))
+    d_candidates = [v for v in box if _strong_pair(coh, v, a)]
+    e_candidates = [v for v in box if _strong_pair(coh, v, a * b + c)]
+    return tuple(
+        (d, e)
+        for d in d_candidates
+        for e in e_candidates
+        if _strong_pair(coh, tuple(ei - di for di, ei in zip(d, e)), b)
+    )
+
+
+def search_kronecker_by_triples(coh, rho, n, bound) -> tuple:
+    """The Picard vectors of search_kronecker, comparing raw triples."""
+    return tuple(
+        v
+        for v in itertools.product(range(-bound, bound + 1), repeat=rho)
+        if _strong_pair(coh, v, n)
     )

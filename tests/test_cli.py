@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,37 @@ def test_obstruct_five_vertex_gram(tmp_path, capsys):
     assert code == 1
     assert report["result"]["passes_rank"] is True
     assert report["result"]["passes_signature"] is False
+
+
+def test_obstruct_rejects_non_unimodular_gram(tmp_path, capsys):
+    path = write_json(tmp_path, "gram.json", {"gram": [[2, 0], [0, 5]]})
+    code, out, err = run_cli(capsys, "obstruct", path)
+    assert (code, out) == (2, "")
+    assert "unimodular" in err and "determinant is 10" in err
+
+
+@pytest.mark.parametrize(
+    "arrows, expected_code", [([[0, 1], [0, 1]], 0), ([[0, 1], [1, 2], [2, 3]], 1)]
+)
+def test_closed_stdout_keeps_exit_code_without_traceback(tmp_path, arrows, expected_code):
+    vertices = max(max(a) for a in arrows) + 1
+    path = write_json(tmp_path, "q.json", {"vertices": vertices, "arrows": arrows})
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivsurf", "obstruct", path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected_code
+    assert proc.stderr == b""
 
 
 def test_obstruct_a2_tilde_passes(tmp_path, capsys):

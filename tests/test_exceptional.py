@@ -14,6 +14,7 @@ from quivsurf.exceptional import (
     endo_quiver_dims,
     ext_dims,
     line_collection,
+    pair_hom,
     search_abc,
     search_kronecker,
     solve_abc,
@@ -224,7 +225,22 @@ def test_divisor_table_first_rows():
 def test_divisor_table_detects_wrong_entry():
     surface = blowup_p2(3)
     failures = check_table_case(surface, (1, 3, 1), (0, 0, 0, 1), (1, 1, 1, 0))
-    assert failures
+    assert failures == (
+        "(O, O(E-D)) is not a strong exceptional pair with 3 morphisms: "
+        "O(E-D) has cohomology (1, 0, 0), O(D-E) has (0, 1, 0)",
+        "(O, O(E)) is not a strong exceptional pair with 4 morphisms: "
+        "O(E) has cohomology (3, 0, 0), O(-E) has (0, 0, 0)",
+    )
+
+
+def test_pair_hom():
+    s = p1xp1()
+    assert pair_hom(s, s.lift_pic((1, 1))) == 4
+    assert pair_hom(s, s.lift_pic((0, 1))) == 2
+    assert pair_hom(s, s.zero_divisor()) is None  # O(-0) = O has a section
+    assert pair_hom(s, s.lift_pic((1, -2))) is None  # cohomology (0, 2, 0)
+    assert pair_hom(s, s.lift_pic((-1, 0))) is None  # O(1,0) has sections
+    assert pair_hom(s, s.lift_pic((-1, 1))) == 0  # O(-1,1) and O(1,-1) have no cohomology
 
 
 def test_divisor_table_rejects_bad_range():

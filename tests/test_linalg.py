@@ -6,12 +6,14 @@ import pytest
 from quivsurf.linalg import (
     ExactMatrix,
     Signature,
+    det_rational,
     invert_unitriangular,
     rank_rational,
     signature_symmetric,
 )
 
 from oracles import (
+    charpoly,
     dfs_path_counts,
     random_symmetric,
     random_unimodular,
@@ -132,3 +134,20 @@ def test_matrix_shape_validation():
         ExactMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         ExactMatrix.from_rows([])
+
+
+def test_det_matches_charpoly_constant_term():
+    # det(tI - M) at t = 0 is (-1)^n det(M)
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]  # singular
+        m = ExactMatrix.from_rows(rows)
+        assert det_rational(m) == (-1) ** n * charpoly(m)[-1]
+    for _ in range(20):
+        assert det_rational(random_unimodular(rng, rng.randint(1, 6))) in (1, -1)
+    assert det_rational(ExactMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    with pytest.raises(ValueError):
+        det_rational(ExactMatrix.from_rows([[1, 2, 3]]))

@@ -268,3 +268,7 @@ def test_gram_json():
     assert m.int_rows() == [[1, 2], [0, 1]]
     with pytest.raises(ValueError):
         gram_from_json({"gram": [[1, 2, 3], [0, 1, 0]]})
+    assert gram_from_json({"gram": [[0, 1], [1, 0]]}).int_rows() == [[0, 1], [1, 0]]
+    for rows, det in (([[2, 0], [0, 5]], 10), ([[1, 2], [2, 4]], 0)):
+        with pytest.raises(ValueError, match=f"unimodular, but its determinant is {det}"):
+            gram_from_json({"gram": rows})

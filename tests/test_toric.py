@@ -25,7 +25,7 @@ from quivsurf.toric import (
     sub_divisors,
 )
 
-from oracles import kunneth_quadric, p1_cohomology as p1_cohomology_oracle
+from oracles import h0_fraction_box, kunneth_quadric, p1_cohomology as p1_cohomology_oracle
 
 
 def cyclic_variants(cycle):
@@ -150,6 +150,20 @@ def test_h0_twisted_plane():
     assert s.h0_lattice_points((2, 0, 0)) == 6
     # linear equivalence: same class written on another ray
     assert s.h0_lattice_points((0, 2, 0)) == 6
+
+
+def test_h0_of_large_negative_divisors_is_zero():
+    # no positive and some negative coefficient: the polytope is empty
+    for s in (projective_plane(), p1xp1(), hirzebruch(3), blowup_p2(3)):
+        n = s.n_rays
+        for d in ((-10**9,) * n, (0,) * (n - 1) + (-500,), tuple(-400 * (i % 2) for i in range(n))):
+            assert s.h0_lattice_points(d) == 0
+        d = (-60,) + (-1,) * (n - 1)
+        assert s.h0_lattice_points(d) == 0 == h0_fraction_box(s, d)
+    p2 = projective_plane()
+    assert p2.h0_lattice_points((-301, -1, -1)) == 0
+    # Serre duality: h2(O(-301)) = h0(O(298)) = 300 * 299 / 2
+    assert p2.cohomology((-301, 0, 0)) == (0, 0, 44850)
 
 
 def test_h0_trivial_bundle():
