@@ -9,7 +9,7 @@ explicit realisations.
 
 __version__ = "0.1.0"
 
-from .linalg import ExactMatrix, Signature, invert_unitriangular, rank_rational, signature_symmetric
+from .linalg import ExactMatrix, Signature, rank_rational, signature_symmetric
 from .quivers import (
     ObstructionReport,
     Quiver,
@@ -54,7 +54,6 @@ __all__ = [
     "__version__",
     "ExactMatrix",
     "Signature",
-    "invert_unitriangular",
     "rank_rational",
     "signature_symmetric",
     "ObstructionReport",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and, for verifying commands, all checks passed);
 1 a verification gave a negative verdict; 2 malformed or invalid input,
-including JSON numbers that are not plain integers and negative bounds;
+including JSON numbers that are not plain integers, negative bounds and
+quiver JSON with more than quivers.JSON_VERTEX_BOUND = 100 vertices;
 3 an internal error (a failed exact identity, or input nested too deeply
 to read), reported as one line on stderr and never as a verdict.
 Reports are printed to stdout with sorted keys, so identical inputs give

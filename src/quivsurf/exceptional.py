@@ -387,6 +387,8 @@ def collection_from_json(data: dict) -> Collection:
         raw_objects = data["objects"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed collection JSON: {exc}") from exc
+    if not isinstance(raw_objects, list):
+        raise ValueError(f"collection 'objects' must be a list, got {raw_objects!r}")
     objects = []
     for entry in raw_objects:
         if not isinstance(entry, dict) or len(entry) != 1:

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Rank, inertia and unitriangular inversion for the small integer bilinear
-forms produced by quivers and surfaces. Everything runs on
+Rank, determinant and inertia for the small integer bilinear forms
+produced by quivers and surfaces. Everything runs on
 :class:`fractions.Fraction`; no floating point is used anywhere, so sign
 decisions (and hence signatures) are exact.
 """
@@ -60,11 +60,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "ExactMatrix":
-        cols = rows if cols is None else cols
-        return cls.from_rows([[0] * cols for _ in range(rows)])
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
@@ -209,28 +204,3 @@ def signature_symmetric(m: ExactMatrix) -> Signature:
     n_minus = sum(1 for d in diag if d < 0)
     return Signature(n_plus, n_minus, n - n_plus - n_minus)
 
-
-def invert_unitriangular(m: ExactMatrix) -> ExactMatrix:
-    """Exact integer inverse of a unitriangular integer matrix.
-
-    The nilpotent part N = I - M makes the inverse a finite Neumann sum
-    I + N + N^2 + ..., which stays integral.
-    """
-    if not m.is_square:
-        raise ValueError("unitriangular inversion requires a square matrix")
-    if not m.is_integer:
-        raise ValueError("unitriangular inversion requires integer entries")
-    n = m.rows
-    if any(m.entries[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unitriangular: diagonal is not all ones")
-    upper = all(m.entries[i][j] == 0 for i in range(n) for j in range(i))
-    lower = all(m.entries[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    if not (upper or lower):
-        raise ValueError("matrix is not unitriangular: not triangular")
-    nilpotent = ExactMatrix.identity(n) - m
-    inverse = ExactMatrix.identity(n)
-    power = ExactMatrix.identity(n)
-    for _ in range(n - 1):
-        power = power * nilpotent
-        inverse = inverse + power
-    return inverse

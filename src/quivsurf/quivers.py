@@ -19,7 +19,6 @@ from .linalg import (
     ExactMatrix,
     Signature,
     det_rational,
-    invert_unitriangular,
     json_int,
     rank_rational,
     signature_symmetric,
@@ -28,6 +27,10 @@ from .linalg import (
 # Largest quiver for which the forbidden-subquiver witness is searched: the
 # scan visits up to C(15, 4) = 1,365 four-vertex subsets.
 SUBQUIVER_BOUND = 15
+
+# Largest quiver read from JSON: a vertex count is a few bytes of input but
+# costs an n x n exact Euler form. The Quiver constructor itself is unbounded.
+JSON_VERTEX_BOUND = 100
 
 
 @dataclass(frozen=True)
@@ -93,24 +96,19 @@ def euler_matrix_simples(q: Quiver) -> ExactMatrix:
 def paths_matrix(q: Quiver) -> ExactMatrix:
     """Directed path counts P[i][j] (length 0 included): the inverse of I - A.
 
-    I - A is unitriangular after relabelling by a topological order, so the
-    count matrix is its exact integer inverse conjugated back.
+    Row v is e_v plus row t once for each arrow v -> t, so parallel arrows
+    count separately; filling rows in reverse topological order makes every
+    row t ready before a row that needs it.
     """
-    order = q.topological_order()
-    assert order is not None
-    pos = {v: k for k, v in enumerate(order)}
-    a = q.arrow_counts()
     n = q.vertices
-    relabelled = ExactMatrix.from_rows(
-        [
-            [(1 if i == j else 0) - a[order[i]][order[j]] for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    inv = invert_unitriangular(relabelled)
-    return ExactMatrix.from_rows(
-        [[inv[pos[i], pos[j]] for j in range(n)] for i in range(n)]
-    )
+    rows = [None] * n
+    for v in reversed(q.topological_order()):
+        row = [1 if j == v else 0 for j in range(n)]
+        for s, t in q.arrows:
+            if s == v:
+                row = [x + y for x, y in zip(row, rows[t])]
+        rows[v] = row
+    return ExactMatrix.from_rows(rows)
 
 
 def chi_minus(e: ExactMatrix) -> ExactMatrix:
@@ -154,20 +152,13 @@ class ObstructionReport:
         }
 
 
-def full_subquiver(q: Quiver, subset: Sequence[int]) -> Quiver:
-    """Induced quiver on a vertex subset, keeping all arrows inside it."""
-    subset = tuple(subset)
-    pos = {v: k for k, v in enumerate(subset)}
-    arrows = tuple(
-        (pos[s], pos[t]) for s, t in q.arrows if s in pos and t in pos
-    )
-    return Quiver(len(subset), arrows)
-
-
 def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
     """Smallest vertex subset whose induced subquiver has rank(chi^-) > 2.
 
-    Only four-vertex subsets are scanned, lexicographically. That is exact:
+    The full subquiver on S has Euler form (I - A) restricted to S x S, so
+    its chi^- is the principal submatrix of chi^-(Q) on S; the scan reads
+    those minors off chi^-(Q) without building any subquiver. Only
+    four-vertex subsets are scanned, lexicographically. That is exact:
     a skew form of rank >= 4 has a nonsingular principal minor of that size,
     and Pfaffian expansion descends through nonzero principal Pfaffians to
     a nonsingular principal 4x4 minor. Returns None when rank(chi^-) <= 2.
@@ -177,9 +168,9 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
             f"full-subquiver search is limited to {SUBQUIVER_BOUND} vertices "
             f"(quiver has {q.vertices})"
         )
+    m = chi_minus(euler_matrix_simples(q)).entries
     for subset in itertools.combinations(range(q.vertices), 4):
-        sub = full_subquiver(q, subset)
-        if rank_rational(chi_minus(euler_matrix_simples(sub))) > 2:
+        if rank_rational(ExactMatrix.from_rows([[m[i][j] for j in subset] for i in subset])) > 2:
             return subset
     return None
 
@@ -340,6 +331,8 @@ def quiver_from_json(data: dict) -> Quiver:
         arrows = [(json_int(s, "arrow end"), json_int(t, "arrow end")) for s, t in data["arrows"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed quiver JSON: {exc}") from exc
+    if vertices > JSON_VERTEX_BOUND:
+        raise ValueError(f"quiver JSON is limited to {JSON_VERTEX_BOUND} vertices, got {vertices}")
     return Quiver(vertices, tuple(arrows))
 
 

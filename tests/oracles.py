@@ -6,8 +6,9 @@ DFS, the quadric cohomology comes from the closed-form rational-curve
 formulas combined degree by degree, and the toric formulas (lattice-point
 box, intersection table, Riemann-Roch, Euler pairing) are the rational
 Fraction versions that the integer code paths replace. The witness scan
-over subsets of every size and the searches that compare raw cohomology
-triples are the versions that the four-vertex scan and `pair_hom` replace.
+over subsets of every size (which builds each induced subquiver) and the
+searches that compare raw cohomology triples are the versions that the
+principal-minor scan and `pair_hom` replace.
 """
 
 from __future__ import annotations
@@ -145,28 +146,29 @@ def rank_one_bipartite_quiver(rng: random.Random, max_vertices: int):
     return Quiver(n, tuple(arrows))
 
 
+def induced_subquiver(quiver, subset):
+    """Full subquiver on a vertex subset, relabelled 0..k-1 in subset order,
+    keeping every arrow (parallel ones included) with both ends inside."""
+    from quivsurf.quivers import Quiver
+
+    pos = {v: k for k, v in enumerate(subset)}
+    arrows = tuple((pos[s], pos[t]) for s, t in quiver.arrows if s in pos and t in pos)
+    return Quiver(len(subset), arrows)
+
+
 def forbidden_subquiver_all_sizes(quiver):
     """Smallest, then lexicographically first, vertex subset whose full
-    subquiver has rank(chi^-) > 2, scanning subsets of every size."""
+    subquiver has rank(chi^-) > 2, scanning subsets of every size and
+    building each subquiver."""
     from quivsurf.linalg import rank_rational
-    from quivsurf.quivers import chi_minus, euler_matrix_simples, full_subquiver
+    from quivsurf.quivers import chi_minus, euler_matrix_simples
 
     for size in range(4, quiver.vertices + 1):
         for subset in itertools.combinations(range(quiver.vertices), size):
-            sub = full_subquiver(quiver, subset)
+            sub = induced_subquiver(quiver, subset)
             if rank_rational(chi_minus(euler_matrix_simples(sub))) > 2:
                 return subset
     return None
-
-
-def random_unitriangular(rng: random.Random, n: int, magnitude: int = 3) -> ExactMatrix:
-    a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    upper = rng.random() < 0.5
-    for i in range(n):
-        for j in range(n):
-            if (j > i) if upper else (j < i):
-                a[i][j] = rng.randint(-magnitude, magnitude)
-    return ExactMatrix.from_rows(a)
 
 
 # --- toric surfaces ------------------------------------------------------------

@@ -272,6 +272,8 @@ def test_toric_coh_rejects_non_integer_divisor(capsys, divisor):
         (("verify",), {"fan": P2_FAN, "objects": [{"line": 0}]}),
         (("verify",), {"fan": P2_FAN, "objects": [{"line_pic": ["1"]}]}),
         (("verify",), {"fan": P2_FAN, "objects": [{"line": [0, 0, 0]}, {"curve_ray": True}]}),
+        (("verify",), {"fan": P2_FAN, "objects": 5}),
+        (("verify",), {"fan": P2_FAN, "objects": None}),
     ],
 )
 def test_json_readers_reject_non_integers(tmp_path, capsys, command, payload):
@@ -308,3 +310,13 @@ def test_consistency_error_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "toric", "coh", "P2", "-d", "[1, 0, 0]")
     assert (code, out) == (3, "")
     assert err == "internal error: ConsistencyError: Riemann-Roch parity failed\n"
+
+
+def test_obstruct_limits_quiver_json_vertices(tmp_path, capsys):
+    path = write_json(tmp_path, "big.json", {"vertices": 101, "arrows": []})
+    code, out, err = run_cli(capsys, "obstruct", path)
+    assert (code, out) == (2, "")
+    assert "limited to 100 vertices" in err
+    path = write_json(tmp_path, "edge.json", {"vertices": 100, "arrows": [[0, 99]]})
+    code, out, _ = run_cli(capsys, "obstruct", path)
+    assert code == 0 and json.loads(out)["result"]["rank_chi_minus"] == 2

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from quivsurf.quivers import (
     dynkin_euclidean_family,
     euler_matrix_simples,
     forbidden_full_subquiver,
-    full_subquiver,
     gram_from_json,
     kronecker,
     linear_quiver,
@@ -28,7 +28,7 @@ from quivsurf.quivers import (
     three_vertex,
 )
 
-from oracles import dfs_path_counts, random_acyclic_quiver
+from oracles import dfs_path_counts, induced_subquiver, random_acyclic_quiver
 
 FOUR_VERTEX = Quiver(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
 
@@ -78,8 +78,12 @@ def test_paths_three_vertex():
 
 def test_paths_matrix_inverts_euler_matrix_and_matches_dfs():
     rng = random.Random(32)
-    for _ in range(40):
-        q = random_acyclic_quiver(rng)
+    quivers = [random_acyclic_quiver(rng) for _ in range(40)]
+    quivers += [random_acyclic_quiver(rng, 9) for _ in range(40)]
+    # isolated vertices appended after the arrows, and edgeless quivers
+    quivers += [Quiver(q.vertices + rng.randint(1, 3), q.arrows) for q in quivers[::4]]
+    quivers += [Quiver(n, ()) for n in (1, 4)] + [linear_quiver(3), kronecker(3)]
+    for q in quivers:
         p = paths_matrix(q)
         assert p * euler_matrix_simples(q) == ExactMatrix.identity(q.vertices)
         assert p.int_rows() == dfs_path_counts(q)
@@ -87,7 +91,7 @@ def test_paths_matrix_inverts_euler_matrix_and_matches_dfs():
 
 def test_chi_decomposition():
     eye = ExactMatrix.identity(3)
-    assert chi_minus(eye) == ExactMatrix.zero(3)
+    assert chi_minus(eye) == ExactMatrix.from_rows([[0] * 3] * 3)
     assert chi_plus(eye) == eye + eye
     e = euler_matrix_simples(linear_quiver(2))
     assert chi_minus(e).int_rows() == [[0, -1], [1, 0]]
@@ -153,10 +157,20 @@ def test_forbidden_subquiver_minimality():
     assert forbidden_full_subquiver(q) == (0, 1, 2, 3)
 
 
-def test_full_subquiver_keeps_parallel_arrows():
-    q = three_vertex(2, 1, 1)
-    sub = full_subquiver(q, (0, 1))
-    assert sub.vertices == 2 and sub.arrows == ((0, 1), (0, 1))
+def test_chi_minus_principal_minor_is_induced_subquiver_chi_minus():
+    # the witness scan reads chi^- of a full subquiver off chi^-(Q)
+    rng = random.Random(34)
+    quivers = [three_vertex(2, 1, 1), kronecker(3)]
+    quivers += [random_acyclic_quiver(rng, 7) for _ in range(30)]
+    assert any(len(set(q.arrows)) < len(q.arrows) for q in quivers[2:])
+    for q in quivers:
+        m = chi_minus(euler_matrix_simples(q))
+        for size in (2, 4):
+            for subset in itertools.combinations(range(q.vertices), size):
+                sub = induced_subquiver(q, subset)
+                minor = [[m[i, j] for j in subset] for i in subset]
+                assert chi_minus(euler_matrix_simples(sub)) == ExactMatrix.from_rows(minor)
+    assert induced_subquiver(three_vertex(2, 1, 1), (0, 1)).arrows == ((0, 1), (0, 1))
 
 
 def test_reflect_a2():
