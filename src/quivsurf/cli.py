@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and, for verifying commands, all checks passed);
 1 a verification gave a negative verdict; 2 malformed or invalid input,
-including JSON numbers that are not plain integers, negative bounds and
-quiver JSON with more than quivers.JSON_VERTEX_BOUND = 100 vertices;
+including JSON numbers that are not plain integers, negative bounds,
+negative search arrow counts, a divisor given to toric knum, and quiver
+JSON with more than quivers.JSON_VERTEX_BOUND = 100 vertices;
 3 an internal error (a failed exact identity, or input nested too deeply
 to read), reported as one line on stderr and never as a verdict.
 Reports are printed to stdout with sorted keys, so identical inputs give
@@ -99,6 +100,8 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_toric(args) -> int:
+    if args.subcommand == "knum" and args.divisor is not None:
+        raise InputError("toric knum takes no divisor (-d)")
     surface = _load_fan(args.fan)
     if args.subcommand == "coh":
         if args.divisor is None:

@@ -133,22 +133,17 @@ def verify_collection(c: Collection, strong: bool = True) -> VerifyResult:
     return VerifyResult(True, strong, hom, None)
 
 
-def endo_quiver_dims(c: Collection) -> list:
-    """Forward Hom-dimension matrix of a verified strong collection."""
-    result = verify_collection(c, strong=True)
-    if not result.ok:
-        raise ValueError(
-            f"collection is not strong exceptional ({result.failure.describe()})"
-        )
-    return result.forward_hom()
-
-
 def abc_of(c: Collection) -> tuple:
     """(a, b, c) of a strong 3-object collection: arrow counts of the
     endomorphism quiver, with c corrected for composite paths."""
     if len(c) != 3:
         raise ValueError("abc is defined for 3-object collections")
-    hom = endo_quiver_dims(c)
+    result = verify_collection(c, strong=True)
+    if not result.ok:
+        raise ValueError(
+            f"collection is not strong exceptional ({result.failure.describe()})"
+        )
+    hom = result.forward_hom()
     a, b = hom[0][1], hom[1][2]
     composite = hom[0][2] - a * b
     if composite < 0:
@@ -200,9 +195,12 @@ def search_abc(
 
     An impossible triple (a + b != ab + c) returns an empty result with a
     diagnostic; for any strong exceptional triple of line bundles the
-    identity a + b = ab + c is forced by Riemann-Roch.
+    identity a + b = ab + c is forced by Riemann-Roch. A negative bound or
+    arrow count raises ValueError.
     """
     _check_bound(bound, "search bound")
+    if min(a, b, c) < 0:
+        raise ValueError(f"arrow counts must be nonnegative, got (a,b,c)=({a},{b},{c})")
     if a + b != a * b + c:
         return AbcSearchResult(
             (a, b, c),
@@ -273,7 +271,7 @@ def star_family_surface(n: int) -> tuple:
     for wall in reversed(range(0, 2 * n, 2)):
         inserted.append(add_divisors(s.rays[wall], s.rays[wall + 1]))
         s = s.blow_up(wall)
-    rays = tuple(sorted(s.ray_index(v) for v in inserted))
+    rays = tuple(sorted(s.rays.index(v) for v in inserted))
     for i, j in itertools.combinations(rays, 2):
         if s.intersect(s.ray_divisor(i), s.ray_divisor(j)) != 0:
             raise ValueError(

@@ -29,10 +29,6 @@ class Signature(NamedTuple):
     n_minus: int
     n_zero: int
 
-    @property
-    def dimension(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
-
 
 @dataclass(frozen=True)
 class ExactMatrix:

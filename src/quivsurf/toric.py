@@ -157,14 +157,6 @@ class ToricSurface:
                 raise ConsistencyError(f"wall relation failed at ray {rays[i]}")
             selfints.append(-p)
         self.self_intersections: tuple = tuple(selfints)
-        # Ray pairs (i, j, det = v_i x v_j) whose boundary lines
-        # <m, v_i> = -d_i and <m, v_j> = -d_j meet in one point.
-        self._line_pairs: tuple = tuple(
-            (i, j, _cross(rays[i], rays[j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if _cross(rays[i], rays[j]) != 0
-        )
         self._coh_cache: dict = {}  # checked divisor -> CohDims
         # canonical divisor -sum(D_i)
         self.canonical: tuple = (-1,) * n
@@ -187,9 +179,6 @@ class ToricSurface:
 
     def ray_divisor(self, i: int) -> tuple:
         return tuple(1 if j == i else 0 for j in range(len(self.rays)))
-
-    def ray_index(self, v: Sequence[int]) -> int:
-        return self.rays.index(tuple(v))
 
     def _check_divisor(self, d: Sequence[int]) -> tuple:
         d = tuple(int(c) for c in d)
@@ -246,13 +235,12 @@ class ToricSurface:
     def h0_lattice_points(self, d: Sequence[int]) -> int:
         """Global sections = lattice points of {m : <m, v_i> >= -d_i for all i}.
 
-        The polytope is compact because the rays positively span the plane;
-        its vertices lie among the pairwise intersections of the boundary
-        lines, so enumerating the integer bounding box of those intersection
-        points is exhaustive. Each intersection point is (px, py) / det with
-        integer numerators, so the box is found in integers: its x-range runs
-        from the least ceiling -(-px // det) to the greatest floor px // det
-        (floor division is exact for either sign of det), and likewise in y.
+        Adjacent rays v_i = (a, b), v_{i+1} = (c, e) have determinant +1, so
+        their boundary lines meet in the integer cone vertex
+        m_i = (b d_{i+1} - e d_i, c d_i - a d_{i+1}). For u in the cone of
+        v_i and v_{i+1}, every m in the polytope has <m, u> >= <m_i, u>; the
+        cones cover the plane, so the polytope lies in the convex hull of the
+        m_i and enumerating their bounding box is exhaustive.
         """
         d = self._check_divisor(d)
         if max(d) <= 0 and min(d) < 0:
@@ -260,19 +248,13 @@ class ToricSurface:
             # so <m, v_i> >= -d_i >= 0, strictly for some i, has no solution.
             return 0
         rays = self.rays
-        x_lo, x_hi, y_lo, y_hi = [], [], [], []
-        for i, j, det in self._line_pairs:
-            (xi, yi), (xj, yj) = rays[i], rays[j]
-            # solve <m, v_i> = -d_i, <m, v_j> = -d_j
-            px = d[j] * yi - d[i] * yj
-            py = d[i] * xj - d[j] * xi
-            x_lo.append(-(-px // det))
-            x_hi.append(px // det)
-            y_lo.append(-(-py // det))
-            y_hi.append(py // det)
+        xs, ys = [], []
+        for (a, b), (c, e), di, dj in zip(rays, rays[1:] + rays[:1], d, d[1:] + d[:1]):
+            xs.append(b * dj - e * di)
+            ys.append(c * di - a * dj)
         count = 0
-        for x in range(min(x_lo), max(x_hi) + 1):
-            for y in range(min(y_lo), max(y_hi) + 1):
+        for x in range(min(xs), max(xs) + 1):
+            for y in range(min(ys), max(ys) + 1):
                 if all(x * v[0] + y * v[1] >= -di for v, di in zip(rays, d)):
                     count += 1
         return count

@@ -291,6 +291,15 @@ def test_negative_bounds_are_input_errors(capsys):
     code, out, err = run_cli(capsys, "solve-abc", "--max", "-3")
     assert (code, out) == (2, "")
     assert "nonnegative" in err
+    code, out, err = run_cli(capsys, "search", "P2", "-1", "0", "-1")
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
+
+
+def test_toric_knum_rejects_divisor(capsys):
+    code, out, err = run_cli(capsys, "toric", "knum", "P2", "-d", "[1,0,0]")
+    assert (code, out) == (2, "")
+    assert "knum takes no divisor" in err
 
 
 def test_deeply_nested_json_is_an_internal_error(tmp_path, capsys):

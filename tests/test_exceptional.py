@@ -11,7 +11,6 @@ from quivsurf.exceptional import (
     abc_of,
     check_table_case,
     collection_from_json,
-    endo_quiver_dims,
     ext_dims,
     line_collection,
     pair_hom,
@@ -96,7 +95,7 @@ def test_endo_dims_and_abc():
     assert abc_of(a2_tilde_collection()) == (1, 1, 1)
     s = p1xp1()
     c = line_collection(s, [s.zero_divisor(), s.lift_pic((1, 0)), s.lift_pic((1, 1))])
-    assert endo_quiver_dims(c)[0][2] == 4
+    assert verify_collection(c).forward_hom()[0][2] == 4
     assert abc_of(c) == (2, 2, 0)
 
 
@@ -140,6 +139,8 @@ def test_negative_bounds_raise():
         search_abc(blowup_p2(3), 1, 3, 1, bound=-1)
     with pytest.raises(ValueError, match="nonnegative"):
         search_abc(p1xp1(), 3, 2, 0, bound=-1)  # checked before the triple
+    with pytest.raises(ValueError, match="nonnegative"):
+        search_abc(projective_plane(), -1, 0, -1)  # a + b = ab + c holds
     with pytest.raises(ValueError, match="nonnegative"):
         search_kronecker(p1xp1(), 1, -1)
     assert solve_abc(0) == [(0, 0, 0)]

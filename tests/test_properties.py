@@ -32,8 +32,10 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 surfaces = st.integers(0, 2**32).map(lambda seed: random_blowup_surface(random.Random(seed)))
 
 # small coefficients give nonempty polytopes of every shape; the large
-# negative ones give empty polytopes inside wide bounding boxes
-coefficients = st.one_of(st.integers(-6, 6), st.integers(-25, -12))
+# negative ones give empty polytopes inside wide bounding boxes; the wide
+# mixed-sign ones give non-nef divisors, where the cone-vertex box is much
+# smaller than the box of all pairwise boundary-line intersections
+coefficients = st.one_of(st.integers(-6, 6), st.integers(-25, -12), st.integers(-15, 15))
 
 
 def divisors(surface, elements=coefficients):
