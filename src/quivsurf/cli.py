@@ -1,12 +1,19 @@
-"""Command-line interface with JSON input and output.
+"""Command-line interface: the one place that reads and writes JSON.
+
+The library modules take and return plain Python values; this module
+parses every input into them and writes every report.
 
 Exit codes: 0 success (and, for verifying commands, all checks passed);
 1 a verification gave a negative verdict; 2 malformed or invalid input,
 including JSON numbers that are not plain integers, negative bounds,
-negative search arrow counts, a divisor given to toric knum, and quiver
-JSON with more than quivers.JSON_VERTEX_BOUND = 100 vertices;
+negative search arrow counts, a divisor given to toric knum, an input
+file that cannot be read (a directory, say), obstruct input with both
+a quiver and a Gram matrix, and quiver JSON with more than
+cli.JSON_VERTEX_BOUND = 100 vertices;
 3 an internal error (a failed exact identity, or input nested too deeply
 to read), reported as one line on stderr and never as a verdict.
+verify --strong also reports the quiver data abc of every strong 3-object
+collection, whether its objects are line bundles, curve sheaves or both.
 Reports are printed to stdout with sorted keys, so identical inputs give
 byte-identical output; diagnostics go to stderr. A closed stdout loses the
 report but neither prints a traceback nor changes the exit code.
@@ -21,16 +28,19 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .quivers import gram_from_json, obstruction_report, quiver_from_json
-from .toric import ConsistencyError, FanError, PRESETS, divisor_from_json, fan_from_json, preset
+from .linalg import ExactMatrix, det_rational
+from .quivers import Quiver, obstruction_report
+from .toric import ConsistencyError, FanError, PRESETS, ToricSurface, preset
 from .exceptional import (
+    Collection,
+    CurveSheaf,
+    LineBundle,
     abc_of,
-    collection_from_json,
     search_abc,
     solve_abc,
     verify_collection,
 )
-from .reproduce import run_all
+from .reproduce import DEFAULT_SEED, run_all
 
 SCHEMA = "quivsurf.report/1"
 
@@ -44,6 +54,13 @@ class InputError(Exception):
     pass
 
 
+# Largest quiver read from JSON: a vertex count is a few bytes of input but
+# costs an n x n exact Euler form. The Quiver constructor itself is unbounded.
+JSON_VERTEX_BOUND = 100
+
+_SHAPES = ("an integer", "a list of integers", "a list of integer lists")
+
+
 def _load_json(path: str):
     try:
         if path == "-":
@@ -51,18 +68,93 @@ def _load_json(path: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}")
 
 
-def _load_fan(arg: str):
+def _field(data, key: str, kind: str):
+    """data[key], where data must be a JSON object with that key; kind names
+    the object in the message."""
+    if not isinstance(data, dict) or key not in data:
+        raise InputError(f"{kind} JSON must be an object with the key {key!r}")
+    return data[key]
+
+
+def _ints(value, what: str, depth: int = 1):
+    """value read exactly as a plain JSON integer (depth 0), a list of them
+    (depth 1) or a list of such lists (depth 2): true, 1.0 and "1" are
+    rejected rather than converted."""
+    shaped = type(value) is int if depth == 0 else isinstance(value, list)
+    if not shaped:
+        raise InputError(f"{what}: expected {_SHAPES[depth]}, got {value!r}")
+    if depth:
+        for x in value:
+            _ints(x, what, depth - 1)
+    return value
+
+
+def _read_fan(data) -> ToricSurface:
+    rays = _ints(_field(data, "rays", "fan"), "fan rays", 2)
+    return ToricSurface(rays)
+
+
+def _read_quiver(data) -> Quiver:
+    vertices = _ints(_field(data, "vertices", "quiver"), "quiver vertices", 0)
+    arrows = _ints(_field(data, "arrows", "quiver"), "quiver arrows", 2)
+    if vertices > JSON_VERTEX_BOUND:
+        raise InputError(f"quiver JSON is limited to {JSON_VERTEX_BOUND} vertices, got {vertices}")
+    if any(len(a) != 2 for a in arrows):
+        raise InputError("quiver arrows must be [source, target] pairs")
+    return Quiver(vertices, arrows)
+
+
+def _read_gram(data) -> ExactMatrix:
+    m = ExactMatrix.from_rows(_ints(_field(data, "gram", "Gram-matrix"), "Gram matrix", 2))
+    if not m.is_square:
+        raise InputError("Gram matrix must be square")
+    det = det_rational(m)
+    if det not in (1, -1):
+        raise InputError(f"Gram matrix must be unimodular, but its determinant is {det}")
+    return m
+
+
+def _read_divisor(surface: ToricSurface, data):
+    """A coefficient list in ray order, or {"pic": [...]} in Picard-basis
+    coordinates."""
+    if isinstance(data, dict):
+        if set(data) != {"pic"}:
+            raise InputError("divisor object must have exactly the key 'pic'")
+        return surface.lift_pic(_ints(data["pic"], "divisor 'pic'"))
+    return _ints(data, "divisor")
+
+
+def _read_collection(data) -> Collection:
+    surface = _read_fan(_field(data, "fan", "collection"))
+    entries = _field(data, "objects", "collection")
+    if not isinstance(entries, list):
+        raise InputError(f"collection 'objects' must be a list, got {entries!r}")
+    objects = []
+    for entry in entries:
+        if not isinstance(entry, dict) or len(entry) != 1:
+            raise InputError(f"collection object must have exactly one key: {entry!r}")
+        (kind, value), = entry.items()
+        if kind == "curve_ray":
+            objects.append(CurveSheaf(_ints(value, "curve ray", 0)))
+        elif kind in ("line", "line_pic"):
+            coeffs = _ints(value, f"collection {kind!r}")
+            objects.append(LineBundle(surface.lift_pic(coeffs) if kind == "line_pic" else coeffs))
+        else:
+            raise InputError(f"unknown collection object kind {kind!r}")
+    return Collection(surface, tuple(objects))
+
+
+def _load_fan(arg: str) -> ToricSurface:
     """A fan file, '-' for stdin, or a named preset."""
     if arg != "-" and not Path(arg).exists() and arg in PRESETS:
         return preset(arg)
-    data = _load_json(arg)
-    if not isinstance(data, dict) or "rays" not in data:
-        raise InputError("fan JSON must be an object with a 'rays' key")
-    return fan_from_json(data)
+    return _read_fan(_load_json(arg))
 
 
 def _report(command: str, payload: dict, ok: bool = True) -> dict:
@@ -88,14 +180,19 @@ def cmd_obstruct(args) -> int:
     data = _load_json(args.input)
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
-    if "gram" in data:
-        source = gram_from_json(data)
-    elif "vertices" in data:
-        source = quiver_from_json(data)
-    else:
-        raise InputError("input must contain either 'vertices'/'arrows' or 'gram'")
-    report = obstruction_report(source)
-    _emit(_report("obstruct", report.to_json(), ok=report.passes))
+    if ("gram" in data) == ("vertices" in data or "arrows" in data):
+        raise InputError("input must contain exactly one of a quiver ('vertices'/'arrows') and 'gram'")
+    report = obstruction_report(_read_gram(data) if "gram" in data else _read_quiver(data))
+    witness = report.forbidden_witness
+    payload = {
+        "rank_chi_minus": report.rank_chi_minus,
+        "signature_chi_plus": list(report.signature_chi_plus),
+        "passes_rank": report.passes_rank,
+        "passes_signature": report.passes_signature,
+        "passes": report.passes,
+        "forbidden_witness": None if witness is None else list(witness),
+    }
+    _emit(_report("obstruct", payload, ok=report.passes))
     return EXIT_OK if report.passes else EXIT_VERIFY_FAILED
 
 
@@ -110,7 +207,7 @@ def cmd_toric(args) -> int:
             raw_divisor = json.loads(args.divisor)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid divisor JSON: {exc}")
-        divisor = divisor_from_json(surface, raw_divisor)
+        divisor = _read_divisor(surface, raw_divisor)
         coh = surface.cohomology(divisor)
         payload = {
             "rays": [list(r) for r in surface.rays],
@@ -138,7 +235,7 @@ def cmd_toric(args) -> int:
 
 def cmd_verify(args) -> int:
     data = _load_json(args.input)
-    collection = collection_from_json(data)
+    collection = _read_collection(data)
     result = verify_collection(collection, strong=args.strong)
     payload = {
         "objects": len(collection),
@@ -240,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the full verification battery")
     p.add_argument("--m-max", type=int, default=5, help="divisor-table parameter range")
-    p.add_argument("--seed", type=int, default=7, help="seed for random surface checks")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for random surface checks")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

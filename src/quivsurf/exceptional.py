@@ -15,12 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .linalg import json_int
 from .toric import (
     ToricSurface,
     add_divisors,
     blowup_p2,
-    fan_from_json,
     neg_divisor,
     projective_plane,
     sub_divisors,
@@ -375,30 +373,3 @@ def verify_divisor_table(m_max: int) -> list:
             cases.append(TableCase(row, m, abc, d_pic, e_pic, failures))
     return cases
 
-
-# --- JSON interchange -----------------------------------------------------------
-
-
-def collection_from_json(data: dict) -> Collection:
-    try:
-        surface = fan_from_json(data["fan"])
-        raw_objects = data["objects"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed collection JSON: {exc}") from exc
-    if not isinstance(raw_objects, list):
-        raise ValueError(f"collection 'objects' must be a list, got {raw_objects!r}")
-    objects = []
-    for entry in raw_objects:
-        if not isinstance(entry, dict) or len(entry) != 1:
-            raise ValueError(f"collection object must have exactly one key: {entry!r}")
-        (kind, value), = entry.items()
-        if kind in ("line", "line_pic"):
-            if not isinstance(value, list):
-                raise ValueError(f"{kind!r} must be a list of integers, got {value!r}")
-            coeffs = [json_int(c, "divisor coefficient") for c in value]
-            objects.append(LineBundle(surface.lift_pic(coeffs) if kind == "line_pic" else coeffs))
-        elif kind == "curve_ray":
-            objects.append(CurveSheaf(json_int(value, "curve ray")))
-        else:
-            raise ValueError(f"unknown collection object kind {kind!r}")
-    return Collection(surface, tuple(objects))

@@ -14,14 +14,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 
-def json_int(value, what: str) -> int:
-    """An integer read from JSON, taken exactly: bool, float and str are
-    rejected rather than converted."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 class Signature(NamedTuple):
     """Inertia (n_plus, n_minus, n_zero) of a symmetric form over Q."""
 

@@ -18,8 +18,6 @@ from typing import Optional, Sequence
 from .linalg import (
     ExactMatrix,
     Signature,
-    det_rational,
-    json_int,
     rank_rational,
     signature_symmetric,
 )
@@ -27,10 +25,6 @@ from .linalg import (
 # Largest quiver for which the forbidden-subquiver witness is searched: the
 # scan visits up to C(15, 4) = 1,365 four-vertex subsets.
 SUBQUIVER_BOUND = 15
-
-# Largest quiver read from JSON: a vertex count is a few bytes of input but
-# costs an n x n exact Euler form. The Quiver constructor itself is unbounded.
-JSON_VERTEX_BOUND = 100
 
 
 @dataclass(frozen=True)
@@ -138,18 +132,6 @@ class ObstructionReport:
     @property
     def passes(self) -> bool:
         return self.passes_rank and self.passes_signature
-
-    def to_json(self) -> dict:
-        return {
-            "rank_chi_minus": self.rank_chi_minus,
-            "signature_chi_plus": list(self.signature_chi_plus),
-            "passes_rank": self.passes_rank,
-            "passes_signature": self.passes_signature,
-            "passes": self.passes,
-            "forbidden_witness": (
-                list(self.forbidden_witness) if self.forbidden_witness is not None else None
-            ),
-        }
 
 
 def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
@@ -317,34 +299,3 @@ def dynkin_euclidean_family() -> list:
     family += [(f"E~{n}", affine_e(n)) for n in (6, 7, 8)]
     return family
 
-
-# --- JSON interchange -------------------------------------------------------
-
-
-def quiver_to_json(q: Quiver) -> dict:
-    return {"vertices": q.vertices, "arrows": [list(a) for a in q.arrows]}
-
-
-def quiver_from_json(data: dict) -> Quiver:
-    try:
-        vertices = json_int(data["vertices"], "vertex count")
-        arrows = [(json_int(s, "arrow end"), json_int(t, "arrow end")) for s, t in data["arrows"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed quiver JSON: {exc}") from exc
-    if vertices > JSON_VERTEX_BOUND:
-        raise ValueError(f"quiver JSON is limited to {JSON_VERTEX_BOUND} vertices, got {vertices}")
-    return Quiver(vertices, tuple(arrows))
-
-
-def gram_from_json(data: dict) -> ExactMatrix:
-    try:
-        rows = data["gram"]
-        m = ExactMatrix.from_rows([[json_int(x, "Gram entry") for x in row] for row in rows])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed Gram-matrix JSON: {exc}") from exc
-    if not m.is_square:
-        raise ValueError("Gram matrix must be square")
-    det = det_rational(m)
-    if det not in (1, -1):
-        raise ValueError(f"Gram matrix must be unimodular, but its determinant is {det}")
-    return m

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import ExactMatrix, json_int
+from .linalg import ExactMatrix
 
 
 class FanError(ValueError):
@@ -454,32 +454,3 @@ def random_blowup_surface(rng: random.Random) -> ToricSurface:
         s = s.blow_up(rng.randrange(s.n_rays))
     return s
 
-
-# --- JSON interchange -----------------------------------------------------------
-
-
-def fan_to_json(s: ToricSurface) -> dict:
-    return {"rays": [list(r) for r in s.rays]}
-
-
-def fan_from_json(data: dict) -> ToricSurface:
-    try:
-        rays = [tuple(json_int(c, "ray coordinate") for c in r) for r in data["rays"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed fan JSON: {exc}") from exc
-    return ToricSurface(rays)
-
-
-def divisor_from_json(s: ToricSurface, data) -> tuple:
-    """Divisor from a JSON value: a plain list of ray coefficients, or
-    {"pic": [...]} in Picard-basis coordinates."""
-    if isinstance(data, dict):
-        if set(data) != {"pic"}:
-            raise ValueError("divisor object must have exactly the key 'pic'")
-        pic = data["pic"]
-        if not isinstance(pic, list):
-            raise ValueError("'pic' must be a list of integers")
-        return s.lift_pic([json_int(c, "divisor coefficient") for c in pic])
-    if isinstance(data, (list, tuple)):
-        return s._check_divisor([json_int(c, "divisor coefficient") for c in data])
-    raise ValueError("divisor must be a coefficient list or a {'pic': [...]} object")

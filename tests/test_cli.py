@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from quivsurf.cli import main
-from quivsurf.toric import ConsistencyError, ToricSurface
+from quivsurf.linalg import ExactMatrix
+from quivsurf.quivers import Quiver, obstruction_report
+from quivsurf.toric import ConsistencyError, ToricSurface, blowup_p2, preset
 
 
 def run_cli(capsys, *argv):
@@ -329,3 +331,139 @@ def test_obstruct_limits_quiver_json_vertices(tmp_path, capsys):
     path = write_json(tmp_path, "edge.json", {"vertices": 100, "arrows": [[0, 99]]})
     code, out, _ = run_cli(capsys, "obstruct", path)
     assert code == 0 and json.loads(out)["result"]["rank_chi_minus"] == 2
+
+
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    for argv in (
+        ("obstruct", str(tmp_path)),
+        ("verify", str(tmp_path)),
+        ("toric", "coh", str(tmp_path), "-d", "[1, 0, 0]"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {tmp_path}")
+
+
+def test_obstruct_rejects_quiver_and_gram_together(tmp_path, capsys):
+    for payload in (
+        {"gram": [[1, 0], [0, 1]], "vertices": 2},
+        {"gram": [[1, 0], [0, 1]], "vertices": 2, "arrows": [[0, 1]]},
+        {"gram": [[1, 0], [0, 1]], "arrows": []},
+    ):
+        code, out, err = run_cli(capsys, "obstruct", write_json(tmp_path, "both.json", payload))
+        assert (code, out) == (2, "")
+        assert "exactly one of" in err
+
+
+def test_verify_reports_abc_for_a_mixed_collection(tmp_path, capsys):
+    # (O, O_{C_0}, O_{C_3}) on dP6: C_0 and C_3 are disjoint, so the quiver
+    # has one arrow 0 -> 1, none 1 -> 2 and one 0 -> 2
+    payload = {
+        "fan": {"rays": [list(r) for r in preset("dP6").rays]},
+        "objects": [{"line": [0] * 6}, {"curve_ray": 0}, {"curve_ray": 3}],
+    }
+    code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "mixed.json", payload), "--strong")
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["ok"] is True
+    assert result["abc"] == [1, 0, 1]
+
+
+# --- JSON readers, through the CLI --------------------------------------------
+
+DP5_FAN = {"rays": [[1, 0], [0, 1], [-1, 0], [-1, -1], [0, -1]]}
+
+
+def assert_input_error(capsys, *argv, message="error: "):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_fan_json_roundtrip(tmp_path, capsys):
+    s = blowup_p2(3)
+    rays = [list(r) for r in reversed(s.rays)]
+    code, out, _ = run_cli(capsys, "toric", "knum", write_json(tmp_path, "fan.json", {"rays": rays}))
+    assert code == 0
+    assert json.loads(out)["result"]["rays"] == [list(r) for r in s.rays]
+    assert_input_error(
+        capsys, "toric", "knum", write_json(tmp_path, "bad.json", {"ray": rays}), message="'rays'"
+    )
+
+
+def test_divisor_json(capsys):
+    s = blowup_p2(3)
+    for divisor, expected in (
+        ("[0, 0, 0, 1, 0, 0]", s.ray_divisor(3)),
+        ('{"pic": [0, 0, 0, 1]}', s.lift_pic((0, 0, 0, 1))),
+    ):
+        code, out, _ = run_cli(capsys, "toric", "coh", "dP6", "-d", divisor)
+        assert code == 0
+        assert json.loads(out)["result"]["divisor"] == list(expected)
+    assert_input_error(capsys, "toric", "coh", "dP6", "-d", '{"pic": [0], "extra": 1}')
+    assert_input_error(capsys, "toric", "coh", "dP6", "-d", '"nope"')
+
+
+def test_collection_json(tmp_path, capsys):
+    payload = {
+        "fan": DP5_FAN,
+        "objects": [
+            {"line": [0, 0, 0, 0, 0]},
+            {"line_pic": [1, 0, -1]},
+            {"line": [1, 0, 0, 0, 0]},
+        ],
+    }
+    code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "coll.json", payload), "--strong")
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["ok"] is True
+    assert result["abc"] == [1, 1, 1]
+    for bad in ({"fan": DP5_FAN, "objects": [{"mystery": 1}]}, {"objects": []}):
+        assert_input_error(capsys, "verify", write_json(tmp_path, "bad.json", bad))
+
+
+def test_collection_with_curve_from_json(tmp_path, capsys):
+    s = blowup_p2(1)
+    e_ray = s.self_intersections.index(-1)
+    payload = {
+        "fan": {"rays": [list(r) for r in s.rays]},
+        "objects": [{"line": [0] * s.n_rays}, {"curve_ray": e_ray}],
+    }
+    code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "coll.json", payload), "--strong")
+    assert code == 0
+    assert json.loads(out)["result"]["ok"] is True
+
+
+def assert_obstruct_reads(capsys, path, source):
+    """`obstruct path` reports what obstruction_report gives for source."""
+    expected = obstruction_report(source)
+    code, out, _ = run_cli(capsys, "obstruct", path)
+    result = json.loads(out)["result"]
+    assert code == (0 if expected.passes else 1)
+    assert result["rank_chi_minus"] == expected.rank_chi_minus
+    assert result["signature_chi_plus"] == list(expected.signature_chi_plus)
+
+
+def test_quiver_json_roundtrip(tmp_path, capsys):
+    q = Quiver(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
+    payload = {"vertices": q.vertices, "arrows": [list(a) for a in q.arrows]}
+    assert_obstruct_reads(capsys, write_json(tmp_path, "q.json", payload), q)
+    for bad, message in (
+        ({"vertices": 2}, "'arrows'"),
+        ({"vertices": 2, "arrows": [[0, 1], [1, 0]]}, "cycle"),
+        ({"vertices": 3, "arrows": [[0, 1, 2]]}, "error: "),
+    ):
+        assert_input_error(capsys, "obstruct", write_json(tmp_path, "bad.json", bad), message=message)
+
+
+def test_gram_json(tmp_path, capsys):
+    for rows in ([[1, 2], [0, 1]], [[0, 1], [1, 0]]):
+        path = write_json(tmp_path, "gram.json", {"gram": rows})
+        assert_obstruct_reads(capsys, path, ExactMatrix.from_rows(rows))
+    for rows, message in (
+        ([[1, 2, 3], [0, 1, 0]], "square"),
+        ([[2, 0], [0, 5]], "unimodular, but its determinant is 10"),
+        ([[1, 2], [2, 4]], "unimodular, but its determinant is 0"),
+    ):
+        path = write_json(tmp_path, "bad.json", {"gram": rows})
+        assert_input_error(capsys, "obstruct", path, message=message)

@@ -10,7 +10,6 @@ from quivsurf.exceptional import (
     LineBundle,
     abc_of,
     check_table_case,
-    collection_from_json,
     ext_dims,
     line_collection,
     pair_hom,
@@ -247,35 +246,6 @@ def test_pair_hom():
 def test_divisor_table_rejects_bad_range():
     with pytest.raises(ValueError):
         verify_divisor_table(0)
-
-
-def test_collection_json():
-    data = {
-        "fan": {"rays": [[1, 0], [0, 1], [-1, 0], [-1, -1], [0, -1]]},
-        "objects": [
-            {"line": [0, 0, 0, 0, 0]},
-            {"line_pic": [1, 0, -1]},
-            {"line": [1, 0, 0, 0, 0]},
-        ],
-    }
-    coll = collection_from_json(data)
-    assert verify_collection(coll, strong=True).ok
-    assert abc_of(coll) == (1, 1, 1)
-    with pytest.raises(ValueError):
-        collection_from_json({"fan": data["fan"], "objects": [{"mystery": 1}]})
-    with pytest.raises(ValueError):
-        collection_from_json({"objects": []})
-
-
-def test_collection_with_curve_from_json():
-    s = blowup_p2(1)
-    e_ray = s.self_intersections.index(-1)
-    data = {
-        "fan": {"rays": [list(r) for r in s.rays]},
-        "objects": [{"line": [0] * s.n_rays}, {"curve_ray": e_ray}],
-    }
-    coll = collection_from_json(data)
-    assert verify_collection(coll, strong=True).ok
 
 
 def test_unsupported_curve_pair_propagates():

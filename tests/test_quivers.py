@@ -16,13 +16,10 @@ from quivsurf.quivers import (
     dynkin_euclidean_family,
     euler_matrix_simples,
     forbidden_full_subquiver,
-    gram_from_json,
     kronecker,
     linear_quiver,
     obstruction_report,
     paths_matrix,
-    quiver_from_json,
-    quiver_to_json,
     reflect,
     star,
     three_vertex,
@@ -267,22 +264,3 @@ def test_affine_presets_validate():
     with pytest.raises(ValueError):
         dynkin_e(5)
 
-
-def test_quiver_json_roundtrip():
-    q = FOUR_VERTEX
-    assert quiver_from_json(quiver_to_json(q)) == q
-    with pytest.raises(ValueError):
-        quiver_from_json({"vertices": 2})
-    with pytest.raises(ValueError):
-        quiver_from_json({"vertices": 2, "arrows": [[0, 1], [1, 0]]})
-
-
-def test_gram_json():
-    m = gram_from_json({"gram": [[1, 2], [0, 1]]})
-    assert m.int_rows() == [[1, 2], [0, 1]]
-    with pytest.raises(ValueError):
-        gram_from_json({"gram": [[1, 2, 3], [0, 1, 0]]})
-    assert gram_from_json({"gram": [[0, 1], [1, 0]]}).int_rows() == [[0, 1], [1, 0]]
-    for rows, det in (([[2, 0], [0, 5]], 10), ([[1, 2], [2, 4]], 0)):
-        with pytest.raises(ValueError, match=f"unimodular, but its determinant is {det}"):
-            gram_from_json({"gram": rows})

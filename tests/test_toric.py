@@ -12,9 +12,6 @@ from quivsurf.toric import (
     UnsupportedExtError,
     add_divisors,
     blowup_p2,
-    divisor_from_json,
-    fan_from_json,
-    fan_to_json,
     hirzebruch,
     neg_divisor,
     p1_cohomology,
@@ -371,22 +368,7 @@ def test_ext_triples_match_euler_pairing():
         assert cc[0] - cc[1] + cc[2] == s.euler_pairing(curve, curve)
 
 
-# --- serialisation -------------------------------------------------------------------
-
-
-def test_fan_json_roundtrip():
-    s = blowup_p2(3)
-    assert fan_from_json(fan_to_json(s)).rays == s.rays
-
-
-def test_divisor_json():
-    s = blowup_p2(3)
-    assert divisor_from_json(s, [0, 0, 0, 1, 0, 0]) == s.ray_divisor(3)
-    assert divisor_from_json(s, {"pic": [0, 0, 0, 1]}) == s.lift_pic((0, 0, 0, 1))
-    with pytest.raises(ValueError):
-        divisor_from_json(s, {"pic": [0], "extra": 1})
-    with pytest.raises(ValueError):
-        divisor_from_json(s, "nope")
+# --- presets -----------------------------------------------------------------------
 
 
 def test_presets_registry():
