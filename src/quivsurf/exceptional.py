@@ -12,9 +12,9 @@ isomorphism (absence of relations) is not decided here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
+from .linalg import FrozenValue
 from .toric import (
     ToricSurface,
     add_divisors,
@@ -25,40 +25,37 @@ from .toric import (
 )
 
 
-@dataclass(frozen=True)
-class LineBundle:
-    divisor: tuple
+class LineBundle(FrozenValue):
+    __slots__ = ("divisor",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "divisor", tuple(int(c) for c in self.divisor))
+    def __init__(self, divisor: tuple):
+        self._init(tuple(int(c) for c in divisor))
 
 
-@dataclass(frozen=True)
-class CurveSheaf:
+class CurveSheaf(NamedTuple):
     ray: int
 
 
 CollectionObject = Union[LineBundle, CurveSheaf]
 
 
-@dataclass(frozen=True)
-class Collection:
+class Collection(FrozenValue):
     """Ordered collection of sheaf objects on one toric surface."""
 
-    surface: ToricSurface
-    objects: tuple
+    __slots__ = ("surface", "objects")
 
-    def __post_init__(self):
-        if not self.objects:
+    def __init__(self, surface: ToricSurface, objects: tuple):
+        if not objects:
             raise ValueError("collection must be non-empty")
-        for obj in self.objects:
+        for obj in objects:
             if isinstance(obj, LineBundle):
-                self.surface._check_divisor(obj.divisor)
+                surface._check_divisor(obj.divisor)
             elif isinstance(obj, CurveSheaf):
-                if not (0 <= obj.ray < self.surface.n_rays):
+                if not (0 <= obj.ray < surface.n_rays):
                     raise ValueError(f"curve ray {obj.ray} out of range")
             else:
                 raise ValueError(f"unsupported collection object {obj!r}")
+        self._init(surface, objects)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -81,8 +78,7 @@ def ext_dims(c: Collection, i: int, j: int) -> tuple:
     return s.ext_curve_pair(x.ray, y.ray)
 
 
-@dataclass(frozen=True)
-class PairFailure:
+class PairFailure(NamedTuple):
     i: int
     j: int
     ext: tuple
@@ -97,8 +93,7 @@ class PairFailure:
         return f"{what}: dimensions {self.ext}"
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     """Full Hom/Ext dimension table plus the first violation, if any."""
 
     ok: bool
@@ -154,17 +149,16 @@ def abc_of(c: Collection) -> tuple:
 def solve_abc(max_value: int) -> list:
     """All triples 0 <= a,b,c <= max_value with a + b = ab + c, in lex order."""
     _check_bound(max_value, "solve-abc maximum")
-    solutions = []
-    for a in range(max_value + 1):
-        for b in range(max_value + 1):
-            c = a + b - a * b
-            if 0 <= c <= max_value:
-                solutions.append((a, b, c))
-    return solutions
+    # c = 1 - (a-1)(b-1) >= 0 allows any b for a <= 1, and for a >= 2 only
+    # b <= 1 (and b = 2 when a = 2); each such c lies in [0, max_value].
+    return [
+        (a, b, a + b - a * b)
+        for a in range(max_value + 1)
+        for b in (range(max_value + 1) if a < 2 else (0, 1, 2) if a == 2 else (0, 1))
+    ]
 
 
-@dataclass(frozen=True)
-class AbcSearchResult:
+class AbcSearchResult(NamedTuple):
     triple: tuple
     pairs: tuple  # ((D_pic, E_pic), ...) with the first object normalised to O
     diagnostic: Optional[str]
@@ -239,8 +233,7 @@ def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
 STAR_FAMILY_MAX = 6
 
 
-@dataclass(frozen=True)
-class StarFamilyReport:
+class StarFamilyReport(NamedTuple):
     """Outcome of realising the n-leaf star quiver by a mixed collection."""
 
     n: int
@@ -323,8 +316,7 @@ TABLE_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class TableCase:
+class TableCase(NamedTuple):
     row: str
     m: int
     abc: tuple

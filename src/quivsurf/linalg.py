@@ -9,7 +9,6 @@ decisions (and hence signatures) are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,21 +21,52 @@ class Signature(NamedTuple):
     n_zero: int
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class FrozenValue:
+    """Base of the validating value types: the fields are the __slots__,
+    set once by the subclass __init__ through _init. Instances compare,
+    hash and print by class and field values, and assigning or deleting
+    a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ExactMatrix(FrozenValue):
     """Immutable dense matrix with exact rational entries, row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        if len(entries) != self.rows or any(len(r) != self.cols for r in entries):
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
-        if self.rows < 1 or self.cols < 1:
+        if rows < 1 or cols < 1:
             raise ValueError("matrix must be non-empty")
-        object.__setattr__(self, "entries", entries)
+        self._init(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "ExactMatrix":

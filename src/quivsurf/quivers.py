@@ -12,11 +12,11 @@ chi^+. Both quantities are congruence invariants, so the choice of basis
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
     ExactMatrix,
+    FrozenValue,
     Signature,
     rank_rational,
     signature_symmetric,
@@ -27,23 +27,21 @@ from .linalg import (
 SUBQUIVER_BOUND = 15
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(FrozenValue):
     """Finite acyclic directed multigraph; parallel arrows are allowed."""
 
-    vertices: int
-    arrows: tuple
+    __slots__ = ("vertices", "arrows")
 
-    def __post_init__(self):
-        if self.vertices < 1:
+    def __init__(self, vertices: int, arrows: tuple):
+        if vertices < 1:
             raise ValueError("quiver needs at least one vertex")
-        arrows = tuple((int(s), int(t)) for s, t in self.arrows)
+        arrows = tuple((int(s), int(t)) for s, t in arrows)
         for s, t in arrows:
-            if not (0 <= s < self.vertices and 0 <= t < self.vertices):
-                raise ValueError(f"arrow ({s},{t}) out of range for {self.vertices} vertices")
+            if not (0 <= s < vertices and 0 <= t < vertices):
+                raise ValueError(f"arrow ({s},{t}) out of range for {vertices} vertices")
             if s == t:
                 raise ValueError(f"loop at vertex {s}: quiver must be acyclic")
-        object.__setattr__(self, "arrows", arrows)
+        self._init(vertices, arrows)
         if self.topological_order() is None:
             raise ValueError("quiver has an oriented cycle")
 
@@ -119,8 +117,7 @@ def chi_plus(e: ExactMatrix) -> ExactMatrix:
     return e + e.transpose()
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Verdicts of the two embeddability obstructions for one Euler form."""
 
     rank_chi_minus: int

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, FrozenValue
 
 
 class FanError(ValueError):
@@ -45,21 +44,18 @@ class CohDims(NamedTuple):
     h2: int
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(FrozenValue):
     """Class in the numerical Grothendieck group: rank, first Chern class,
     and half of the degree-2 Chern character (an integer or half-integer)."""
 
-    rank: int
-    c1: tuple
-    ch2: Fraction
+    __slots__ = ("rank", "c1", "ch2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", tuple(int(c) for c in self.c1))
-        ch2 = Fraction(self.ch2)
+    def __init__(self, rank: int, c1: tuple, ch2: Fraction):
+        c1 = tuple(int(c) for c in c1)
+        ch2 = Fraction(ch2)
         if ch2.denominator not in (1, 2):
             raise ValueError("ch2 must be an integer or half-integer")
-        object.__setattr__(self, "ch2", ch2)
+        self._init(rank, c1, ch2)
 
     def __add__(self, other: "KClass") -> "KClass":
         return KClass(

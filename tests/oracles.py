@@ -8,7 +8,8 @@ box, intersection table, Riemann-Roch, Euler pairing) are the rational
 Fraction versions that the integer code paths replace. The witness scan
 over subsets of every size (which builds each induced subquiver) and the
 searches that compare raw cohomology triples are the versions that the
-principal-minor scan and `pair_hom` replace.
+principal-minor scan and `pair_hom` replace, and the scan over all pairs
+(a, b) is the version that the closed-form `solve_abc` replaces.
 """
 
 from __future__ import annotations
@@ -267,3 +268,15 @@ def search_kronecker_by_triples(coh, rho, n, bound) -> tuple:
         for v in itertools.product(range(-bound, bound + 1), repeat=rho)
         if _strong_pair(coh, v, n)
     )
+
+
+def solve_abc_by_scan(max_value: int) -> list:
+    """The triples of solve_abc, found by scanning all (max_value + 1)^2
+    pairs (a, b) in lexicographic order."""
+    solutions = []
+    for a in range(max_value + 1):
+        for b in range(max_value + 1):
+            c = a + b - a * b
+            if 0 <= c <= max_value:
+                solutions.append((a, b, c))
+    return solutions

@@ -84,6 +84,25 @@ def test_closed_stdout_keeps_exit_code_without_traceback(tmp_path, arrows, expec
     assert proc.stderr == b""
 
 
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # a bare interpreter's modules against those after importing the CLI:
+    # dataclasses (and through it inspect, ast, dis) would cost the start-up
+    # of every single CLI call
+    code = (
+        "import sys; before = set(sys.modules); import quivsurf.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    new = set(proc.stdout.split())
+    layers = ("cli", "exceptional", "linalg", "quivers", "reproduce", "toric")
+    assert {f"quivsurf.{layer}" for layer in layers} <= new
+    assert not {"dataclasses", "inspect"} & new
+
+
 def test_obstruct_a2_tilde_passes(tmp_path, capsys):
     path = write_json(
         tmp_path, "a2t.json", {"vertices": 3, "arrows": [[0, 1], [1, 2], [0, 2]]}

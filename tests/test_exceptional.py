@@ -21,6 +21,8 @@ from quivsurf.exceptional import (
     verify_star_family,
 )
 
+from oracles import solve_abc_by_scan
+
 
 def a2_tilde_collection():
     s = blowup_p2(2)
@@ -129,6 +131,11 @@ def test_solve_abc_families():
     expected.add((2, 2, 0))
     assert set(sols) == expected
     assert sols == sorted(sols)
+
+
+def test_solve_abc_matches_scan():
+    for n in range(61):
+        assert solve_abc(n) == solve_abc_by_scan(n), n
 
 
 def test_negative_bounds_raise():

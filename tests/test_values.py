@@ -1,0 +1,98 @@
+"""The value contract of the library's record and value types: equal
+arguments give equal objects with equal hashes, fields are read-only, the
+repr names the class, and each constructor rejects bad input with its
+documented message."""
+
+from fractions import Fraction
+
+import pytest
+
+from quivsurf.exceptional import (
+    AbcSearchResult,
+    Collection,
+    CurveSheaf,
+    LineBundle,
+    PairFailure,
+    StarFamilyReport,
+    TableCase,
+    VerifyResult,
+)
+from quivsurf.linalg import ExactMatrix, Signature
+from quivsurf.quivers import ObstructionReport, Quiver
+from quivsurf.toric import KClass, projective_plane
+
+HOM = ((1, 0, 0), (0, 0, 0))
+
+# (class, constructor arguments, one field name): every value and record type
+VALUES = [
+    (ExactMatrix, (2, 2, ((1, 2), (3, Fraction(1, 2)))), "entries"),
+    (Quiver, (3, ((0, 1), (1, 2), (0, 2))), "arrows"),
+    (KClass, (1, (2, -1), Fraction(3, 2)), "ch2"),
+    (LineBundle, ((1, 0, -1),), "divisor"),
+    (Collection, (projective_plane(), (LineBundle((0, 0, 0)), CurveSheaf(1))), "objects"),
+    (CurveSheaf, (2,), "ray"),
+    (PairFailure, (1, 0, (0, 1, 0), "backward"), "reason"),
+    (VerifyResult, (False, True, HOM, PairFailure(1, 0, (0, 1, 0), "backward")), "ok"),
+    (AbcSearchResult, ((1, 2, 1), (((0, 1), (1, 1)),), None), "pairs"),
+    (
+        StarFamilyReport,
+        (1, projective_plane(), (2,), VerifyResult(True, True, HOM, None), True),
+        "dims_ok",
+    ),
+    (TableCase, ("(0,2m,2m)", 1, (0, 2, 2), (0, 1, 0, -1), (0, 1, 1, 0), ()), "failures"),
+    (ObstructionReport, (2, Signature(1, 1, 1), True, True, None), "forbidden_witness"),
+]
+
+
+@pytest.mark.parametrize("cls, args, field", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_contract(cls, args, field):
+    x, y = cls(*args), cls(*args)
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert not x != y
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(y, field))
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    assert getattr(x, field) == getattr(y, field)
+    assert repr(x).startswith(f"{cls.__name__}(")
+
+
+def test_values_of_different_classes_or_fields_differ():
+    assert Quiver(2, ((0, 1),)) != Quiver(2, ())
+    assert KClass(0, (0, 0), 1) != KClass(0, (0, 0), 0)
+    assert LineBundle((1,)) != Quiver(1, ())
+    assert ExactMatrix.from_rows([[1]]) != ExactMatrix.from_rows([[1, 0]])
+
+
+def test_validating_constructors_normalise_fields():
+    assert Quiver(2, [[0, 1]]) == Quiver(2, ((0, 1),))
+    assert Quiver(2, [[0, 1]]).arrows == ((0, 1),)
+    assert KClass(1, [0, 0], 0).ch2 == Fraction(0) and KClass(1, [0, 0], 0).c1 == (0, 0)
+    assert LineBundle([1, 2, 3]).divisor == (1, 2, 3)
+    assert ExactMatrix(1, 1, [[2]]).entries == ((Fraction(2),),)
+    assert repr(ExactMatrix.from_rows([[1, 0], [0, 2]])) == "ExactMatrix(2x2: 1 0; 0 2)"
+    assert repr(Quiver(2, ((0, 1),))) == "Quiver(vertices=2, arrows=((0, 1),))"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Quiver(0, ()), "quiver needs at least one vertex"),
+        (lambda: Quiver(2, ((0, 2),)), "arrow (0,2) out of range for 2 vertices"),
+        (lambda: Quiver(2, ((1, 1),)), "loop at vertex 1: quiver must be acyclic"),
+        (lambda: Quiver(3, ((0, 1), (1, 2), (2, 0))), "quiver has an oriented cycle"),
+        (lambda: ExactMatrix(2, 2, ((1, 2),)), "entry grid does not match declared shape"),
+        (lambda: ExactMatrix(0, 0, ()), "matrix must be non-empty"),
+        (lambda: KClass(1, (0, 0), Fraction(1, 3)), "ch2 must be an integer or half-integer"),
+        (lambda: Collection(projective_plane(), ()), "collection must be non-empty"),
+        (lambda: Collection(projective_plane(), (CurveSheaf(3),)), "curve ray 3 out of range"),
+        (
+            lambda: Collection(projective_plane(), (LineBundle((0, 0)),)),
+            "divisor has 2 coefficients but the fan has 3 rays",
+        ),
+    ],
+)
+def test_constructor_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
