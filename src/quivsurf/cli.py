@@ -8,8 +8,9 @@ Exit codes: 0 success (and, for verifying commands, all checks passed);
 including JSON numbers that are not plain integers, negative bounds,
 negative search arrow counts, a divisor given to toric knum, an input
 file that cannot be read (a directory, say), obstruct input with both
-a quiver and a Gram matrix, and quiver JSON with more than
-cli.JSON_VERTEX_BOUND = 100 vertices;
+a quiver and a Gram matrix, quiver JSON with more than
+cli.JSON_VERTEX_BOUND = 100 vertices, and solve-abc --max above
+cli.SOLVE_ABC_BOUND = 10000;
 3 an internal error (a failed exact identity, or input nested too deeply
 to read), reported as one line on stderr and never as a verdict.
 verify --strong also reports the quiver data abc of every strong 3-object
@@ -57,6 +58,8 @@ class InputError(Exception):
 # Largest quiver read from JSON: a vertex count is a few bytes of input but
 # costs an n x n exact Euler form. The Quiver constructor itself is unbounded.
 JSON_VERTEX_BOUND = 100
+# Largest solve-abc --max: the report lists about 4 * max triples.
+SOLVE_ABC_BOUND = 10000
 
 _SHAPES = ("an integer", "a list of integers", "a list of integer lists")
 
@@ -276,6 +279,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_solve_abc(args) -> int:
+    if args.max > SOLVE_ABC_BOUND:
+        raise InputError(f"solve-abc --max is limited to {SOLVE_ABC_BOUND}, got {args.max}")
     payload = {
         "max": args.max,
         "solutions": [list(t) for t in solve_abc(args.max)],

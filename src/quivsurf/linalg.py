@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Rank, determinant and inertia for the small integer bilinear forms
-produced by quivers and surfaces. Everything runs on
-:class:`fractions.Fraction`; no floating point is used anywhere, so sign
-decisions (and hence signatures) are exact.
+produced by quivers and surfaces. Matrices store Fractions; each
+elimination clears their denominators and then runs on plain ints,
+fraction-free (Bareiss, Math. Comp. 22, 1968), so no intermediate is a
+Fraction and no floating point is used anywhere: sign decisions (and
+hence signatures) are exact.
 """
 
 from __future__ import annotations
@@ -124,15 +126,12 @@ class ExactMatrix(FrozenValue):
             for j in range(i)
         )
 
-    @property
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
     def int_rows(self) -> list:
         """Entries as plain ints; raises if any entry is non-integral."""
-        if not self.is_integer:
+        rows, scale = _integer_rows(self)
+        if scale != 1:
             raise ValueError("matrix has non-integer entries")
-        return [[int(x) for x in row] for row in self.entries]
+        return rows
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -141,84 +140,88 @@ class ExactMatrix(FrozenValue):
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _eliminate(m: ExactMatrix) -> tuple:
-    """Row echelon form by exact Gaussian elimination:
-    (rank, echelon rows, sign of the row permutation)."""
-    a = [list(row) for row in m.entries]
-    rank, sign = 0, 1
-    for col in range(m.cols):
-        pivot = next((r for r in range(rank, m.rows) if a[r][col] != 0), None)
+def _integer_rows(m: ExactMatrix) -> tuple:
+    """(rows, scale): the entries times scale, the lcm of their
+    denominators, as lists of ints."""
+    scale = math.lcm(*(x.denominator for row in m.entries for x in row))
+    if scale == 1:
+        return [[x.numerator for x in row] for row in m.entries], 1
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries], scale
+
+
+def _echelon(a: list) -> tuple:
+    """Fraction-free Bareiss elimination (Math. Comp. 22, 1968) of integer
+    rows, in place: (rank, sign of the row permutation, last pivot). After
+    k pivots each entry below them is a (k+1)-minor of the input, so the
+    division by the previous pivot is exact."""
+    rank, sign, prev = 0, 1, 1
+    for col in range(len(a[0])):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if pivot is None:
             continue
         if pivot != rank:
             a[rank], a[pivot] = a[pivot], a[rank]
             sign = -sign
-        pv = a[rank][col]
-        for r in range(rank + 1, m.rows):
-            if a[r][col] != 0:
-                f = a[r][col] / pv
-                for c in range(col, m.cols):
-                    a[r][c] -= f * a[rank][c]
+        top = a[rank]
+        p = top[col]
+        for r in range(rank + 1, len(a)):
+            row, f = a[r], a[r][col]
+            row[col + 1:] = [(p * x - f * t) // prev for x, t in zip(row[col + 1:], top[col + 1:])]
+        prev = p
         rank += 1
-        if rank == m.rows:
-            break
-    return rank, a, sign
+    return rank, sign, prev
 
 
 def rank_rational(m: ExactMatrix) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    return _eliminate(m)[0]
+    """Rank over Q by fraction-free elimination of the scaled integer rows."""
+    return _echelon(_integer_rows(m)[0])[0]
 
 
 def det_rational(m: ExactMatrix) -> Fraction:
-    """Determinant: the signed product of the echelon diagonal, which holds
-    the pivots at full rank and ends in a zero row below full rank."""
+    """Determinant as a Fraction: the signed last Bareiss pivot of the
+    scaled integer rows at full rank (else 0), over scale ** rows."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    _, a, sign = _eliminate(m)
-    return sign * math.prod(a[i][i] for i in range(m.rows))
+    a, scale = _integer_rows(m)
+    rank, sign, last = _echelon(a)
+    return Fraction(sign * last if rank == m.rows else 0, scale ** m.rows)
 
 
 def signature_symmetric(m: ExactMatrix) -> Signature:
-    """Inertia of a symmetric matrix by congruence diagonalisation over Q.
+    """Inertia of a symmetric matrix by integer congruence diagonalisation.
 
-    Symmetric pivoting throughout: every row operation is paired with the
-    same column operation, so the diagonal produced is congruent to the
-    input and Sylvester's law gives the inertia. A zero diagonal entry
-    with a nonzero partner in its row is repaired by adding (or, when the
-    addition would cancel, subtracting) the partner row and column before
-    pivoting.
+    A zero diagonal entry with a nonzero partner in its row is repaired by
+    adding (or, when the addition would cancel, subtracting) the partner
+    row and column. After a nonzero pivot p with column u below it, the
+    trailing block B becomes sign(p) (p B - u u^t) over the gcd of its
+    entries: a positive multiple of the Schur complement B - u u^t / p, so
+    Sylvester's law gives the inertia. Each block is the primitive multiple
+    of a block of Bareiss minors, so entries stay fraction-free sized.
     """
     if not m.is_square:
         raise ValueError("signature requires a square matrix")
     if not m.is_symmetric:
         raise ValueError("signature requires a symmetric matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    for i in range(n):
-        if a[i][i] == 0:
-            partner = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-            if partner is not None:
-                j = partner
-                # row/col addition is a congruence; the new diagonal entry is
-                # 2*a[i][j] + a[j][j], which vanishes only for one sign choice.
-                s = 1 if 2 * a[i][j] + a[j][j] != 0 else -1
-                for k in range(n):
-                    a[i][k] += s * a[j][k]
-                for k in range(n):
-                    a[k][i] += s * a[k][j]
-        pivot = a[i][i]
-        if pivot == 0:
-            continue
-        for r in range(i + 1, n):
-            if a[r][i] != 0:
-                f = a[r][i] / pivot
-                for c in range(n):
-                    a[r][c] -= f * a[i][c]
-                for c in range(n):
-                    a[c][r] -= f * a[c][i]
-    diag = [a[i][i] for i in range(n)]
-    n_plus = sum(1 for d in diag if d > 0)
-    n_minus = sum(1 for d in diag if d < 0)
-    return Signature(n_plus, n_minus, n - n_plus - n_minus)
-
+    a = _integer_rows(m)[0]
+    signs = []
+    while a:
+        if a[0][0] == 0:
+            j = next((j for j in range(1, len(a)) if a[0][j]), None)
+            if j is None:
+                a = [row[1:] for row in a[1:]]
+                continue
+            # the new diagonal entry is 2*a[0][j] + a[j][j], which vanishes
+            # only for one sign choice
+            s = 1 if 2 * a[0][j] + a[j][j] else -1
+            a[0] = [x + s * y for x, y in zip(a[0], a[j])]
+            for row in a:
+                row[0] += s * row[j]
+        p = a[0][0]
+        sp = 1 if p > 0 else -1
+        signs.append(sp)
+        u = [row[0] for row in a[1:]]
+        a = [[sp * (p * x - ui * uj) for x, uj in zip(row[1:], u)] for row, ui in zip(a[1:], u)]
+        g = math.gcd(*(x for row in a for x in row))
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
+    return Signature(signs.count(1), signs.count(-1), m.rows - len(signs))

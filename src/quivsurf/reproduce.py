@@ -228,7 +228,8 @@ def surface_theorems_item(seed: int = DEFAULT_SEED) -> dict:
     ]
     rows = []
     for name, s in surfaces:
-        report = obstruction_report(s.knum_gram())
+        gram = s.knum_gram()
+        report = obstruction_report(gram)
         rank, sig = report.rank_chi_minus, report.signature_chi_plus
         basis = s.knum_basis()
 
@@ -238,10 +239,11 @@ def surface_theorems_item(seed: int = DEFAULT_SEED) -> dict:
         nilpotent = all(
             twist_minus_id(twist_minus_id(twist_minus_id(x))).is_zero for x in basis
         )
+        # chi(x, y) = chi(y, S x), with chi(x, y) read off the Gram matrix
         duality = all(
-            s.euler_pairing(x, y) == s.euler_pairing(y, twisted)
-            for x, twisted in zip(basis, map(s.serre_twist, basis))
-            for y in basis
+            chi_xy == s.euler_pairing(y, twisted)
+            for row, twisted in zip(gram.int_rows(), map(s.serre_twist, basis))
+            for chi_xy, y in zip(row, basis)
         )
         noether = s.k_squared() + s.n_rays == 12
         ok = (

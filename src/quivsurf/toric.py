@@ -46,23 +46,16 @@ class CohDims(NamedTuple):
 
 class KClass(FrozenValue):
     """Class in the numerical Grothendieck group: rank, first Chern class,
-    and half of the degree-2 Chern character (an integer or half-integer)."""
+    and the degree-2 Chern character ch2 (an int, or a half-integer Fraction)."""
 
     __slots__ = ("rank", "c1", "ch2")
 
-    def __init__(self, rank: int, c1: tuple, ch2: Fraction):
+    def __init__(self, rank: int, c1: tuple, ch2):
         c1 = tuple(int(c) for c in c1)
-        ch2 = Fraction(ch2)
+        ch2 = ch2 if type(ch2) is int else Fraction(ch2)
         if ch2.denominator not in (1, 2):
             raise ValueError("ch2 must be an integer or half-integer")
-        self._init(rank, c1, ch2)
-
-    def __add__(self, other: "KClass") -> "KClass":
-        return KClass(
-            self.rank + other.rank,
-            tuple(a + b for a, b in zip(self.c1, other.c1)),
-            self.ch2 + other.ch2,
-        )
+        self._init(rank, c1, ch2.numerator if ch2.denominator == 1 else ch2)
 
     def __sub__(self, other: "KClass") -> "KClass":
         return KClass(
@@ -98,9 +91,14 @@ def _angle_cmp(a, b) -> int:
     return 0
 
 
-def _twice(ch2: Fraction) -> int:
-    """2 * ch2 for an integer or half-integer ch2."""
+def _twice(ch2) -> int:
+    """2 * ch2 for an int or half-integer Fraction ch2."""
     return ch2.numerator * 2 // ch2.denominator
+
+
+def _half(n: int):
+    """n / 2: an int when n is even, else a half-integer Fraction."""
+    return n // 2 if n % 2 == 0 else Fraction(n, 2)
 
 
 def p1_cohomology(d: int) -> tuple:
@@ -284,7 +282,7 @@ class ToricSurface:
 
     def kclass_line(self, d: Sequence[int]) -> KClass:
         d = self._check_divisor(d)
-        return KClass(1, d, Fraction(self.intersect(d, d), 2))
+        return KClass(1, d, _half(self._dot(d, d)))
 
     def kclass_curve(self, c: Sequence[int]) -> KClass:
         """Class of the structure sheaf of an effective invariant curve,
@@ -292,10 +290,10 @@ class ToricSurface:
         c = self._check_divisor(c)
         if all(x == 0 for x in c) or any(x < 0 for x in c):
             raise ValueError("curve class must be a nonzero effective divisor")
-        return KClass(0, c, -Fraction(self.intersect(c, c), 2))
+        return KClass(0, c, _half(-self._dot(c, c)))
 
     def kclass_point(self) -> KClass:
-        return KClass(0, self.zero_divisor(), Fraction(1))
+        return KClass(0, self.zero_divisor(), 1)
 
     def euler_pairing(self, x: KClass, y: KClass) -> int:
         """Euler pairing via Riemann-Roch on classes.
@@ -319,11 +317,11 @@ class ToricSurface:
 
     def serre_twist(self, x: KClass) -> KClass:
         """Twist by the canonical bundle; the shift acts trivially on classes."""
-        k = self.canonical
+        c1, k = self._check_divisor(x.c1), self.canonical
         return KClass(
             x.rank,
-            tuple(c + x.rank * kc for c, kc in zip(x.c1, k)),
-            x.ch2 + self.intersect(x.c1, k) + Fraction(x.rank * self._k_squared, 2),
+            tuple(c + x.rank * kc for c, kc in zip(c1, k)),
+            _half(_twice(x.ch2) + 2 * self._dot(c1, k) + x.rank * self._k_squared),
         )
 
     def knum_basis(self) -> tuple:

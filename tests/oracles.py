@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the signature oracle
-goes through the characteristic polynomial, path counts come from a direct
+goes through the characteristic polynomial, rank, determinant and
+signature also have the Fraction Gaussian-elimination versions that the
+fraction-free integer routines replace, path counts come from a direct
 DFS, the quadric cohomology comes from the closed-form rational-curve
 formulas combined degree by degree, and the toric formulas (lattice-point
 box, intersection table, Riemann-Roch, Euler pairing) are the rational
@@ -55,6 +57,75 @@ def signature_by_charpoly(m: ExactMatrix) -> Signature:
     )
     n_plus = variations
     return Signature(n_plus, n - n_zero - n_plus, n_zero)
+
+
+def _eliminate_fraction(m: ExactMatrix) -> tuple:
+    """Row echelon form by Gaussian elimination over Fractions:
+    (rank, echelon rows, sign of the row permutation)."""
+    a = [list(row) for row in m.entries]
+    rank, sign = 0, 1
+    for col in range(m.cols):
+        pivot = next((r for r in range(rank, m.rows) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        pv = a[rank][col]
+        for r in range(rank + 1, m.rows):
+            if a[r][col] != 0:
+                f = a[r][col] / pv
+                for c in range(col, m.cols):
+                    a[r][c] -= f * a[rank][c]
+        rank += 1
+        if rank == m.rows:
+            break
+    return rank, a, sign
+
+
+def rank_fraction(m: ExactMatrix) -> int:
+    """Rank over Q by Gaussian elimination over Fractions."""
+    return _eliminate_fraction(m)[0]
+
+
+def det_fraction(m: ExactMatrix) -> Fraction:
+    """Determinant: the signed product of the Fraction echelon diagonal."""
+    assert m.is_square
+    _, a, sign = _eliminate_fraction(m)
+    return sign * math.prod(a[i][i] for i in range(m.rows))
+
+
+def signature_fraction(m: ExactMatrix) -> Signature:
+    """Inertia by congruence diagonalisation over Fractions, pairing every
+    row operation with the same column operation; a zero diagonal entry
+    with a nonzero partner is repaired by adding (or subtracting) the
+    partner row and column."""
+    assert m.is_symmetric
+    n = m.rows
+    a = [list(row) for row in m.entries]
+    for i in range(n):
+        if a[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+            if j is not None:
+                s = 1 if 2 * a[i][j] + a[j][j] != 0 else -1
+                for k in range(n):
+                    a[i][k] += s * a[j][k]
+                for k in range(n):
+                    a[k][i] += s * a[k][j]
+        pivot = a[i][i]
+        if pivot == 0:
+            continue
+        for r in range(i + 1, n):
+            if a[r][i] != 0:
+                f = a[r][i] / pivot
+                for c in range(n):
+                    a[r][c] -= f * a[i][c]
+                for c in range(n):
+                    a[c][r] -= f * a[c][i]
+    diag = [a[i][i] for i in range(n)]
+    n_plus = sum(1 for d in diag if d > 0)
+    n_minus = sum(1 for d in diag if d < 0)
+    return Signature(n_plus, n_minus, n - n_plus - n_minus)
 
 
 def dfs_path_counts(quiver) -> list:

@@ -244,6 +244,21 @@ def test_reproduce_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPRODUCE_M5_SHA256
 
 
+# sha256 over the `toric knum P` reports of the ten presets, concatenated in
+# this order: the Euler-pairing Gram matrices and their obstruction verdicts.
+KNUM_PRESETS = ("P2", "P1xP1", "F0", "F1", "F2", "F3", "Bl1P2", "Bl2P2", "Bl3P2", "dP6")
+KNUM_PRESETS_SHA256 = "f1338fb7942f22a27bad82be8d3c664b860f76cc309f8004bf9664c25cde7c27"
+
+
+def test_toric_knum_presets_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for name in KNUM_PRESETS:
+        code, out, _ = run_cli(capsys, "toric", "knum", name)
+        assert code == 0
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == KNUM_PRESETS_SHA256
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 
@@ -315,6 +330,14 @@ def test_negative_bounds_are_input_errors(capsys):
     code, out, err = run_cli(capsys, "search", "P2", "-1", "0", "-1")
     assert (code, out) == (2, "")
     assert "nonnegative" in err
+
+
+def test_solve_abc_limits_max(capsys):
+    code, out, err = run_cli(capsys, "solve-abc", "--max", "1000000")
+    assert (code, out) == (2, "")
+    assert err == "error: solve-abc --max is limited to 10000, got 1000000\n"
+    code, out, _ = run_cli(capsys, "solve-abc", "--max", "10000")
+    assert code == 0 and len(json.loads(out)["result"]["solutions"]) == 4 * 10000 + 1
 
 
 def test_toric_knum_rejects_divisor(capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivsurf.linalg import (
     ExactMatrix,
@@ -13,10 +14,74 @@ from quivsurf.linalg import (
 
 from oracles import (
     charpoly,
+    det_fraction,
     random_symmetric,
     random_unimodular,
+    rank_fraction,
     signature_by_charpoly,
+    signature_fraction,
 )
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+integers = st.integers(-4, 4)
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+entries = st.one_of(integers, fractions)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Up to 8x8; a third of them with a row made from two others."""
+    rows = draw(st.integers(1, 8))
+    cols = rows if square else draw(st.integers(1, 8))
+    grid = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if rows > 2 and draw(st.integers(0, 2)) == 0:
+        grid[-1] = [a + 2 * b for a, b in zip(grid[0], grid[1])]
+    return ExactMatrix.from_rows(grid)
+
+
+@st.composite
+def symmetric_matrices(draw, elements):
+    """Up to 8x8, with a zero diagonal in half of them (the partner-repair
+    path) and a zero row and column now and then."""
+    n = draw(st.integers(1, 8))
+    zero_diagonal = draw(st.booleans())
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = 0 if i == j and zero_diagonal else draw(elements)
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, n - 1))
+        for i in range(n):
+            a[i][k] = a[k][i] = 0
+    return ExactMatrix.from_rows(a)
+
+
+@PROPERTY
+@given(matrices())
+def test_bareiss_rank_matches_fraction_elimination(m):
+    assert rank_rational(m) == rank_fraction(m)
+
+
+@PROPERTY
+@given(matrices(square=True))
+def test_bareiss_det_matches_fraction_elimination(m):
+    det = det_rational(m)
+    assert type(det) is Fraction and det == det_fraction(m)
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(0, 2**32))
+def test_bareiss_det_of_unimodular_matrices(n, seed):
+    m = random_unimodular(random.Random(seed), n, steps=4 * n)
+    assert det_rational(m) == det_fraction(m) in (1, -1)
+    assert rank_rational(m) == n
+
+
+@PROPERTY
+@given(st.one_of(symmetric_matrices(integers), symmetric_matrices(fractions)))
+def test_integer_signature_matches_fraction_congruence(m):
+    assert signature_symmetric(m) == signature_fraction(m) == signature_by_charpoly(m)
 
 
 def test_rank_zero_matrix():

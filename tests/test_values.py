@@ -74,6 +74,20 @@ def test_validating_constructors_normalise_fields():
     assert repr(Quiver(2, ((0, 1),))) == "Quiver(vertices=2, arrows=((0, 1),))"
 
 
+def test_kclass_ch2_is_an_int_unless_half_integral():
+    c1 = (1, -2, 0)
+    x, y = KClass(1, c1, Fraction(4, 2)), KClass(1, c1, 2)
+    assert x == y and hash(x) == hash(y)
+    assert type(x.ch2) is int and type(y.ch2) is int
+    half = KClass(1, c1, Fraction(-3, 2))
+    assert type(half.ch2) is Fraction and half.ch2 == Fraction(-3, 2)
+    assert half != KClass(1, c1, -1) and half != KClass(1, c1, -2)
+    s = projective_plane()
+    assert type(s.kclass_line((1, 0, 0)).ch2) is Fraction
+    assert type(s.kclass_line((2, 0, 0)).ch2) is int
+    assert type(s.serre_twist(s.kclass_point()).ch2) is int
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
