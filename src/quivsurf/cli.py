@@ -9,8 +9,10 @@ including JSON numbers that are not plain integers, negative bounds,
 negative search arrow counts, a divisor given to toric knum, an input
 file that cannot be read (a directory, say), obstruct input with both
 a quiver and a Gram matrix, quiver JSON with more than
-cli.JSON_VERTEX_BOUND = 100 vertices, and solve-abc --max above
-cli.SOLVE_ABC_BOUND = 10000;
+cli.JSON_VERTEX_BOUND = 100 vertices, solve-abc --max above
+cli.SOLVE_ABC_BOUND = 10000, a search box of more than
+cli.SEARCH_BOX_BOUND = 10000 Picard vectors, and reproduce --m-max above
+cli.REPRODUCE_M_MAX_BOUND = 40;
 3 an internal error (a failed exact identity, or input nested too deeply
 to read), reported as one line on stderr and never as a verdict.
 verify --strong also reports the quiver data abc of every strong 3-object
@@ -60,6 +62,12 @@ class InputError(Exception):
 JSON_VERTEX_BOUND = 100
 # Largest solve-abc --max: the report lists about 4 * max triples.
 SOLVE_ABC_BOUND = 10000
+# Most Picard vectors in a search box (2 * bound + 1)^rho: 6,561 on dP6
+# (--bound 4) take about 1 s, 14,641 (--bound 5) about 3 s.
+SEARCH_BOX_BOUND = 10000
+# Largest reproduce --m-max: the divisor table grows about as m^2.5, from
+# about 0.75 s at 40 to 2.8 s at 80.
+REPRODUCE_M_MAX_BOUND = 40
 
 _SHAPES = ("an integer", "a list of integers", "a list of integer lists")
 
@@ -265,6 +273,12 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     surface = _load_fan(args.fan)
+    box = (2 * args.bound + 1) ** surface.picard_rank
+    if args.bound >= 0 and box > SEARCH_BOX_BOUND:
+        raise InputError(
+            f"search box (2 * {args.bound} + 1)^{surface.picard_rank} has {box} points; "
+            f"the limit is {SEARCH_BOX_BOUND}"
+        )
     outcome = search_abc(surface, args.a, args.b, args.c, bound=args.bound)
     payload = {
         "triple": list(outcome.triple),
@@ -290,6 +304,8 @@ def cmd_solve_abc(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if args.m_max > REPRODUCE_M_MAX_BOUND:
+        raise InputError(f"reproduce --m-max is limited to {REPRODUCE_M_MAX_BOUND}, got {args.m_max}")
     report = run_all(m_max=args.m_max, seed=args.seed)
     for name, ok in report["summary"].items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)

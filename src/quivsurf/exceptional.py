@@ -172,9 +172,10 @@ def _check_bound(bound: int, what: str) -> None:
 def pair_hom(surface: ToricSurface, d: Sequence[int]) -> Optional[int]:
     """n when (O, O(D)) is a strong exceptional pair with n morphisms, that
     is O(D) has cohomology (n, 0, 0) and O(-D) has none; None otherwise.
-    D is given in ray coefficients."""
-    h0, h1, h2 = surface.cohomology(d)
-    if h1 or h2 or surface.cohomology(neg_divisor(d)) != (0, 0, 0):
+    D is given in ray coefficients, and checked once for both lookups."""
+    d = surface._check_divisor(d)
+    h0, h1, h2 = surface._coh(d)
+    if h1 or h2 or surface._coh(neg_divisor(d)) != (0, 0, 0):
         return None
     return h0
 

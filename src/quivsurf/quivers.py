@@ -12,12 +12,15 @@ chi^+. Both quantities are congruence invariants, so the choice of basis
 from __future__ import annotations
 
 import itertools
+import operator
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
     ExactMatrix,
     FrozenValue,
     Signature,
+    _integer_rows,
     rank_rational,
     signature_symmetric,
 )
@@ -103,18 +106,27 @@ def paths_matrix(q: Quiver) -> ExactMatrix:
     return ExactMatrix.from_rows(rows)
 
 
+def _with_transpose(e: ExactMatrix, op, name: str) -> ExactMatrix:
+    """op(E, E^t) entrywise, in one pass over the rows and columns of E, on
+    the scaled integer entries: op is linear, so dividing by the scale last
+    gives the same Fractions."""
+    if not e.is_square:
+        raise ValueError(f"{name} requires a square matrix")
+    m, scale = _integer_rows(e)
+    rows = [[op(a, b) for a, b in zip(row, col)] for row, col in zip(m, zip(*m))]
+    if scale != 1:
+        rows = [[Fraction(x, scale) for x in row] for row in rows]
+    return ExactMatrix.from_rows(rows)
+
+
 def chi_minus(e: ExactMatrix) -> ExactMatrix:
     """Antisymmetrised form E - E^t."""
-    if not e.is_square:
-        raise ValueError("chi_minus requires a square matrix")
-    return e - e.transpose()
+    return _with_transpose(e, operator.sub, "chi_minus")
 
 
 def chi_plus(e: ExactMatrix) -> ExactMatrix:
     """Symmetrised form E + E^t."""
-    if not e.is_square:
-        raise ValueError("chi_plus requires a square matrix")
-    return e + e.transpose()
+    return _with_transpose(e, operator.add, "chi_plus")
 
 
 class ObstructionReport(NamedTuple):

@@ -51,7 +51,7 @@ class KClass(FrozenValue):
     __slots__ = ("rank", "c1", "ch2")
 
     def __init__(self, rank: int, c1: tuple, ch2):
-        c1 = tuple(int(c) for c in c1)
+        c1 = tuple(map(int, c1))
         ch2 = ch2 if type(ch2) is int else Fraction(ch2)
         if ch2.denominator not in (1, 2):
             raise ValueError("ch2 must be an integer or half-integer")
@@ -175,7 +175,11 @@ class ToricSurface:
         return tuple(1 if j == i else 0 for j in range(len(self.rays)))
 
     def _check_divisor(self, d: Sequence[int]) -> tuple:
-        d = tuple(int(c) for c in d)
+        """d as a tuple of ints of the fan's length: the one conversion at
+        every public entry point; private paths take its result as is."""
+        return self._check_length(tuple(map(int, d)))
+
+    def _check_length(self, d: tuple) -> tuple:
         if len(d) != len(self.rays):
             raise ValueError(
                 f"divisor has {len(d)} coefficients but the fan has {len(self.rays)} rays"
@@ -187,7 +191,7 @@ class ToricSurface:
     def lift_pic(self, coeffs: Sequence[int]) -> tuple:
         """Divisor with the given coefficients on the Picard basis rays,
         zero on the remaining rays."""
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != self.picard_rank:
             raise ValueError(
                 f"expected {self.picard_rank} Picard coordinates, got {len(coeffs)}"
@@ -256,7 +260,10 @@ class ToricSurface:
     def cohomology(self, d: Sequence[int]) -> CohDims:
         """Cohomology of O(D): h0 and h2 by lattice counts (h2 via duality
         against K - D), h1 forced by Riemann-Roch. Memoised per surface."""
-        d = self._check_divisor(d)
+        return self._coh(self._check_divisor(d))
+
+    def _coh(self, d: tuple) -> CohDims:
+        """Cohomology of a checked divisor, through the per-surface cache."""
         cached = self._coh_cache.get(d)
         if cached is not None:
             return cached
@@ -301,14 +308,16 @@ class ToricSurface:
         chi(x, y) = r_x ch2_y + r_y ch2_x - c1_x.c1_y
                     - (K/2).(r_x c1_y - r_y c1_x) + r_x r_y.
         """
-        cx, cy = self._check_divisor(x.c1), self._check_divisor(y.c1)
-        mixed = tuple(x.rank * b - y.rank * a for a, b in zip(cx, cy))
-        # twice the pairing, in integers; -K.mixed is the sum of mixed.D_i
+        # KClass.c1 is already a tuple of ints; only its length can be wrong
+        cx, cy = self._check_length(x.c1), self._check_length(y.c1)
+        py = self._ray_products(cy)
+        # twice the pairing, in integers; -K.C is the sum of the products C.D_i
         twice = (
             x.rank * _twice(y.ch2)
             + y.rank * _twice(x.ch2)
-            - 2 * self._dot(cx, cy)
-            + sum(self._ray_products(mixed))
+            - 2 * sum(a * p for a, p in zip(cx, py))
+            + x.rank * sum(py)
+            - y.rank * sum(self._ray_products(cx))
             + 2 * x.rank * y.rank
         )
         if twice % 2 != 0:
@@ -317,11 +326,11 @@ class ToricSurface:
 
     def serre_twist(self, x: KClass) -> KClass:
         """Twist by the canonical bundle; the shift acts trivially on classes."""
-        c1, k = self._check_divisor(x.c1), self.canonical
+        c1 = self._check_length(x.c1)
         return KClass(
             x.rank,
-            tuple(c + x.rank * kc for c, kc in zip(c1, k)),
-            _half(_twice(x.ch2) + 2 * self._dot(c1, k) + x.rank * self._k_squared),
+            tuple(c - x.rank for c in c1),  # c1 + rank K, with K = -sum D_i
+            _half(_twice(x.ch2) - 2 * sum(self._ray_products(c1)) + x.rank * self._k_squared),
         )
 
     def knum_basis(self) -> tuple:

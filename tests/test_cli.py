@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from quivsurf import cli
 from quivsurf.cli import main
 from quivsurf.linalg import ExactMatrix
 from quivsurf.quivers import Quiver, obstruction_report
-from quivsurf.toric import ConsistencyError, ToricSurface, blowup_p2, preset
+from quivsurf.toric import PRESETS, ConsistencyError, ToricSurface, blowup_p2, preset
 
 
 def run_cli(capsys, *argv):
@@ -338,6 +339,35 @@ def test_solve_abc_limits_max(capsys):
     assert err == "error: solve-abc --max is limited to 10000, got 1000000\n"
     code, out, _ = run_cli(capsys, "solve-abc", "--max", "10000")
     assert code == 0 and len(json.loads(out)["result"]["solutions"]) == 4 * 10000 + 1
+
+
+def test_reproduce_limits_m_max(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "reproduce", "--m-max", "41")
+    assert (code, out) == (2, "")
+    assert err == "error: reproduce --m-max is limited to 40, got 41\n"
+    # the limit itself is accepted; a stub battery keeps the check cheap
+    seen = []
+    monkeypatch.setattr(cli, "run_all", lambda m_max, seed: seen.append(m_max) or {"summary": {}, "pass": True})
+    code, _, _ = run_cli(capsys, "reproduce", "--m-max", "40")
+    assert (code, seen) == (0, [40])
+
+
+def test_search_limits_the_box(capsys):
+    code, out, err = run_cli(capsys, "search", "dP6", "1", "1", "1", "--bound", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: search box (2 * 5 + 1)^4 has 14641 points; the limit is 10000\n"
+    # on P1xP1 (rho 2) 99^2 = 9,801 points are allowed and 101^2 = 10,201 are
+    # not; the impossible triple (1, 1, 0) returns before any cohomology
+    code, out, _ = run_cli(capsys, "search", "P1xP1", "1", "1", "0", "--bound", "49")
+    assert code == 0 and json.loads(out)["result"]["bound"] == 49
+    code, out, _ = run_cli(capsys, "search", "P1xP1", "1", "1", "0", "--bound", "50")
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_search_default_bound_fits_every_preset(capsys, name):
+    code, out, _ = run_cli(capsys, "search", name, "1", "1", "0")
+    assert code == 0 and json.loads(out)["result"]["bound"] == 3
 
 
 def test_toric_knum_rejects_divisor(capsys):

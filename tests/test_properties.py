@@ -128,6 +128,25 @@ def test_cohomology_cache_never_mixes_up_divisors(s, data):
         assert s.cohomology(d) == ToricSurface(s.rays).cohomology(d) == raw_cohomology(s, d)
 
 
+@PROPERTY
+@given(surfaces, st.data())
+def test_cohomology_fast_paths_match_raw_oracle(s, data):
+    # every answer is checked as it is returned, whichever entry point filled
+    # the cache for that divisor: cohomology on a tuple or a list, or pair_hom
+    # on D (which also looks up -D)
+    pool = data.draw(st.lists(divisors(s, st.integers(-4, 4)), min_size=1, max_size=8))
+    calls = st.tuples(st.sampled_from(("tuple", "list", "pair")), st.sampled_from(pool))
+    for call, d in data.draw(st.lists(calls, min_size=1, max_size=30)):
+        expected = raw_cohomology(s, d)
+        if call == "tuple":
+            assert s.cohomology(d) == expected
+        elif call == "list":
+            assert s.cohomology(list(d)) == expected
+        else:
+            strong = expected[1:] == (0, 0) and raw_cohomology(s, tuple(-c for c in d)) == (0, 0, 0)
+            assert pair_hom(s, d) == (expected[0] if strong else None)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(surfaces.filter(lambda s: s.picard_rank <= 4), st.integers(0, 2))
 def test_searches_match_raw_triple_oracles(s, bound):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivsurf.linalg import ExactMatrix, rank_rational
 from quivsurf.quivers import (
@@ -93,6 +94,31 @@ def test_chi_decomposition():
     e = euler_matrix_simples(linear_quiver(2))
     assert chi_minus(e).int_rows() == [[0, -1], [1, 0]]
     assert chi_plus(e).int_rows() == [[2, -1], [-1, 2]]
+
+
+square_fraction_rows = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(-5, 5, max_denominator=6), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(square_fraction_rows)
+def test_chi_forms_match_transpose_arithmetic(rows):
+    e = ExactMatrix.from_rows(rows)
+    assert chi_minus(e) == e - e.transpose()
+    assert chi_plus(e) == e + e.transpose()
+
+
+def test_chi_forms_reject_non_square_matrices():
+    e = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="chi_minus requires a square matrix"):
+        chi_minus(e)
+    with pytest.raises(ValueError, match="chi_plus requires a square matrix"):
+        chi_plus(e)
 
 
 def test_chi_minus_rank_is_even():

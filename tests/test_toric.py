@@ -269,6 +269,24 @@ def test_euler_pairing_line_bundles_is_riemann_roch():
         )
 
 
+def test_classes_of_the_wrong_length_are_rejected():
+    # KClass checks its own fields, not the fan; the pairing and the twist
+    # check the length of c1 and name both lengths
+    s = projective_plane()
+    point = s.kclass_point()
+    for c1 in ((0, 0), (1, 0, 0, 0)):
+        bad = KClass(1, c1, 0)
+        message = f"divisor has {len(c1)} coefficients but the fan has 3 rays"
+        for call in (
+            lambda: s.euler_pairing(bad, point),
+            lambda: s.euler_pairing(point, bad),
+            lambda: s.serre_twist(bad),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
 def test_serre_twist_fixes_point_class():
     s = blowup_p2(1)
     assert s.serre_twist(s.kclass_point()) == s.kclass_point()
