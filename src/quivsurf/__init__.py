@@ -44,6 +44,7 @@ from .exceptional import (
     line_collection,
     search_abc,
     search_kronecker,
+    search_paths,
     solve_abc,
     verify_collection,
     verify_divisor_table,
@@ -85,6 +86,7 @@ __all__ = [
     "line_collection",
     "search_abc",
     "search_kronecker",
+    "search_paths",
     "solve_abc",
     "verify_collection",
     "verify_divisor_table",

@@ -10,11 +10,13 @@ negative search arrow counts, a divisor given to toric knum, an input
 file that cannot be read (a directory, say), obstruct input with both
 a quiver and a Gram matrix, quiver JSON with more than
 cli.JSON_VERTEX_BOUND = 100 vertices, solve-abc --max above
-cli.SOLVE_ABC_BOUND = 10000, a search box of more than
-cli.SEARCH_BOX_BOUND = 10000 Picard vectors, and reproduce --m-max above
-cli.REPRODUCE_M_MAX_BOUND = 40;
+cli.SOLVE_ABC_BOUND = 10000, search --bound above cli.SEARCH_BOUND_MAX = 8
+or a search box of more than cli.SEARCH_BOX_BOUND = 10000 Picard vectors,
+and reproduce --m-max above cli.REPRODUCE_M_MAX_BOUND = 40;
 3 an internal error (a failed exact identity, or input nested too deeply
 to read), reported as one line on stderr and never as a verdict.
+The search limits cap the box and its coefficients, not the fan: each
+box point still costs more on a fan with longer rays.
 verify --strong also reports the quiver data abc of every strong 3-object
 collection, whether its objects are line bundles, curve sheaves or both.
 Reports are printed to stdout with sorted keys, so identical inputs give
@@ -65,6 +67,11 @@ SOLVE_ABC_BOUND = 10000
 # Most Picard vectors in a search box (2 * bound + 1)^rho: 6,561 on dP6
 # (--bound 4) take about 1 s, 14,641 (--bound 5) about 3 s.
 SEARCH_BOX_BOUND = 10000
+# Largest search --bound. The lattice counts grow with the coefficients, so
+# a small box is no cap on its own: search F3 1 1 1 took 10 s at --bound 30
+# and P2 1.3 s at --bound 100. At 8, Bl2P2 takes about 1.2 s; larger fans
+# still cost more per box point.
+SEARCH_BOUND_MAX = 8
 # Largest reproduce --m-max: the divisor table grows about as m^2.5, from
 # about 0.75 s at 40 to 2.8 s at 80.
 REPRODUCE_M_MAX_BOUND = 40
@@ -272,6 +279,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.bound > SEARCH_BOUND_MAX:
+        raise InputError(f"search --bound is limited to {SEARCH_BOUND_MAX}, got {args.bound}")
     surface = _load_fan(args.fan)
     box = (2 * args.bound + 1) ** surface.picard_rank
     if args.bound >= 0 and box > SEARCH_BOX_BOUND:

@@ -7,6 +7,13 @@ has endomorphisms (1,0,0) and all backward Ext triples vanish, and strong
 when in addition the forward triples are concentrated in degree 0. Whether
 the dimension-level match with a path algebra lifts to an algebra
 isomorphism (absence of relations) is not decided here.
+
+Searches for collections of line bundles (O, O(D_1), ..., O(D_{n-1}))
+run on one engine, `search_paths`, given the forward Hom dimensions. It
+draws each D_k from a level set L(m) = {v : pair_hom(v) = m} of the
+Picard box, which is built once per surface and bound and kept on the
+surface, so later searches on that surface reuse every pair_hom of the box;
+`search_abc` and `search_kronecker` are its 3- and 2-object cases.
 """
 
 from __future__ import annotations
@@ -180,6 +187,70 @@ def pair_hom(surface: ToricSurface, d: Sequence[int]) -> Optional[int]:
     return h0
 
 
+def _level_sets(surface: ToricSurface, bound: int) -> dict:
+    """The level sets L(n) = {v : pair_hom(v) = n} of the Picard box
+    [-bound, bound]^rho, each a tuple in box order, keyed by n; vectors with
+    no strong pair are left out. Built once per surface and bound, by one
+    pair_hom per box point, and kept on the surface, which never changes."""
+    levels = surface._pair_levels.get(bound)
+    if levels is None:
+        found: dict = {}
+        for v in itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank):
+            n = pair_hom(surface, surface.lift_pic(v))
+            if n is not None:
+                found.setdefault(n, []).append(v)
+        levels = surface._pair_levels[bound] = {n: tuple(vs) for n, vs in found.items()}
+    return levels
+
+
+def _check_paths(paths: Sequence[Sequence[int]]) -> None:
+    n = len(paths)
+    if n == 0:
+        raise ValueError("paths must have at least one row")
+    for i, row in enumerate(paths):
+        if len(row) != n:
+            raise ValueError(f"paths must be square: row {i} has {len(row)} entries, not {n}")
+        for j, x in enumerate(row):
+            want = 1 if j == i else 0 if j < i else None
+            if not isinstance(x, int) or x < 0 or want is not None and x != want:
+                need = "a nonnegative integer" if want is None else want
+                raise ValueError(f"paths[{i}][{j}] must be {need}, got {x!r}")
+
+
+def search_paths(
+    surface: ToricSurface, paths: Sequence[Sequence[int]], bound: int = 3
+) -> tuple:
+    """All (D_1, ..., D_{n-1}) in Picard coordinates with entries in
+    [-bound, bound] such that, with D_0 = 0, every (O(D_i), O(D_j)) with
+    i < j is a strong exceptional pair with paths[i][j] morphisms; so
+    (O, O(D_1), ..., O(D_{n-1})) is a strong exceptional collection whose
+    forward Hom dimensions are the upper unitriangular matrix paths.
+    Tuples come in lexicographic box order. A malformed paths matrix or a
+    negative bound raises ValueError."""
+    _check_bound(bound, "search bound")
+    _check_paths(paths)
+    return _realise(surface, paths, bound)
+
+
+def _realise(surface: ToricSurface, paths: Sequence[Sequence[int]], bound: int) -> tuple:
+    """search_paths on checked arguments. Each partial collection, in box
+    order, is extended by every D_k in L(paths[0][k]) whose differences
+    D_k - D_i with 0 < i < k have paths[i][k] morphisms."""
+    levels = _level_sets(surface, bound)
+    found = [()]
+    for k in range(1, len(paths)):
+        found = [
+            ds + (v,)
+            for ds in found
+            for v in levels.get(paths[0][k], ())
+            if all(
+                pair_hom(surface, surface.lift_pic(sub_divisors(v, d))) == paths[i][k]
+                for i, d in enumerate(ds, 1)
+            )
+        ]
+    return tuple(found)
+
+
 def search_abc(
     surface: ToricSurface, a: int, b: int, c: int, bound: int = 3
 ) -> AbcSearchResult:
@@ -201,16 +272,7 @@ def search_abc(
             f"no strong exceptional triple of line bundles can realise (a,b,c)=({a},{b},{c}): "
             f"a+b={a + b} but ab+c={a * b + c}, and a+b=ab+c is forced",
         )
-    box = list(itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank))
-    homs = [pair_hom(surface, surface.lift_pic(v)) for v in box]
-    d_candidates = [v for v, n in zip(box, homs) if n == a]
-    e_candidates = [v for v, n in zip(box, homs) if n == a * b + c]
-    pairs = tuple(
-        (d, e)
-        for d in d_candidates
-        for e in e_candidates
-        if pair_hom(surface, surface.lift_pic(sub_divisors(e, d))) == b
-    )
+    pairs = _realise(surface, ((1, a, a * b + c), (0, 1, b), (0, 0, 1)), bound)
     return AbcSearchResult((a, b, c), pairs, None)
 
 
@@ -221,11 +283,7 @@ def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
     if n < 1:
         raise ValueError("Kronecker search needs n >= 1")
     _check_bound(bound, "search bound")
-    return tuple(
-        v
-        for v in itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank)
-        if pair_hom(surface, surface.lift_pic(v)) == n
-    )
+    return tuple(d for (d,) in _realise(surface, ((1, n), (0, 1)), bound))
 
 
 # --- the star family ---------------------------------------------------------

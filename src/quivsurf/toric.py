@@ -152,6 +152,7 @@ class ToricSurface:
             selfints.append(-p)
         self.self_intersections: tuple = tuple(selfints)
         self._coh_cache: dict = {}  # checked divisor -> CohDims
+        self._pair_levels: dict = {}  # bound -> {n: Picard vectors}, filled by exceptional
         # canonical divisor -sum(D_i)
         self.canonical: tuple = (-1,) * n
         self._k_squared = self.intersect(self.canonical, self.canonical)

@@ -11,7 +11,10 @@ Fraction versions that the integer code paths replace. The witness scan
 over subsets of every size (which builds each induced subquiver) and the
 searches that compare raw cohomology triples are the versions that the
 principal-minor scan and `pair_hom` replace, and the scan over all pairs
-(a, b) is the version that the closed-form `solve_abc` replaces.
+(a, b) is the version that the closed-form `solve_abc` replaces. The box
+loops that called `pair_hom` at every Picard vector on every search are
+the versions that the memoised level sets and `search_paths` replace, and
+the scan over every tuple of box vectors checks `search_paths` itself.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ import math
 import random
 from fractions import Fraction
 
+from quivsurf.exceptional import pair_hom
 from quivsurf.linalg import ExactMatrix, Signature
+from quivsurf.toric import sub_divisors
 
 
 def charpoly(m: ExactMatrix) -> list:
@@ -314,21 +319,26 @@ def raw_cohomology(surface, d) -> tuple:
     return (h0, h0 + h2 - surface.rr_chi(d), h2)
 
 
-def _strong_pair(coh, v, n) -> bool:
-    return coh(v) == (n, 0, 0) and coh(tuple(-x for x in v)) == (0, 0, 0)
+def strong_pair_hom(coh, v):
+    """pair_hom from raw triples: coh maps a Picard vector to the cohomology
+    triple of its divisor."""
+    h0, h1, h2 = coh(v)
+    if h1 or h2 or coh(tuple(-x for x in v)) != (0, 0, 0):
+        return None
+    return h0
 
 
 def search_abc_by_triples(coh, rho, a, b, c, bound) -> tuple:
     """The (D, E) pairs of search_abc, comparing raw triples: coh maps a
     Picard vector to the cohomology triple of its divisor."""
     box = list(itertools.product(range(-bound, bound + 1), repeat=rho))
-    d_candidates = [v for v in box if _strong_pair(coh, v, a)]
-    e_candidates = [v for v in box if _strong_pair(coh, v, a * b + c)]
+    d_candidates = [v for v in box if strong_pair_hom(coh, v) == a]
+    e_candidates = [v for v in box if strong_pair_hom(coh, v) == a * b + c]
     return tuple(
         (d, e)
         for d in d_candidates
         for e in e_candidates
-        if _strong_pair(coh, tuple(ei - di for di, ei in zip(d, e)), b)
+        if strong_pair_hom(coh, tuple(ei - di for di, ei in zip(d, e))) == b
     )
 
 
@@ -337,7 +347,47 @@ def search_kronecker_by_triples(coh, rho, n, bound) -> tuple:
     return tuple(
         v
         for v in itertools.product(range(-bound, bound + 1), repeat=rho)
-        if _strong_pair(coh, v, n)
+        if strong_pair_hom(coh, v) == n
+    )
+
+
+def search_abc_by_box_loop(surface, a, b, c, bound) -> tuple:
+    """The (D, E) pairs of search_abc on a solvable triple, by one pair_hom
+    per box point and per candidate pair, with nothing kept between calls."""
+    box = list(itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank))
+    homs = [pair_hom(surface, surface.lift_pic(v)) for v in box]
+    d_candidates = [v for v, n in zip(box, homs) if n == a]
+    e_candidates = [v for v, n in zip(box, homs) if n == a * b + c]
+    return tuple(
+        (d, e)
+        for d in d_candidates
+        for e in e_candidates
+        if pair_hom(surface, surface.lift_pic(sub_divisors(e, d))) == b
+    )
+
+
+def search_kronecker_by_box_loop(surface, n, bound) -> tuple:
+    """The Picard vectors of search_kronecker, by one pair_hom per box point."""
+    return tuple(
+        v
+        for v in itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank)
+        if pair_hom(surface, surface.lift_pic(v)) == n
+    )
+
+
+def search_paths_by_tuple_scan(coh, rho, paths, bound) -> tuple:
+    """The tuples of search_paths, by testing every (D_1, ..., D_{n-1}) in
+    box^(n-1), in lexicographic order, on every pair i < j with D_0 = 0."""
+    n = len(paths)
+    box = list(itertools.product(range(-bound, bound + 1), repeat=rho))
+    zero = (0,) * rho
+    return tuple(
+        ds
+        for ds in itertools.product(box, repeat=n - 1)
+        if all(
+            strong_pair_hom(coh, tuple(y - x for x, y in zip(di, dj))) == paths[i][j]
+            for (i, di), (j, dj) in itertools.combinations(enumerate((zero,) + ds), 2)
+        )
     )
 
 

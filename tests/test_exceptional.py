@@ -15,6 +15,7 @@ from quivsurf.exceptional import (
     pair_hom,
     search_abc,
     search_kronecker,
+    search_paths,
     solve_abc,
     verify_collection,
     verify_divisor_table,
@@ -194,6 +195,46 @@ def test_search_kronecker_examples():
     assert search_kronecker(f1, 1, 2)  # the exceptional curve class
     with pytest.raises(ValueError):
         search_kronecker(quad, 0, 2)
+
+
+def test_level_sets_memo_gives_fresh_surface_answers():
+    # one surface serves every bound, n and triple in turn; the memoised
+    # level sets of an earlier bound must never answer for another one
+    surface = blowup_p2(2)
+    calls = [(bound, call) for bound in (2, 1, 0, 2) for call in ((1, 1, 1), 2, (0, 2, 2), 1, (2, 2, 0), 3)]
+    for bound, call in calls:
+        fresh = blowup_p2(2)
+        if isinstance(call, tuple):
+            assert search_abc(surface, *call, bound=bound) == search_abc(fresh, *call, bound=bound)
+        else:
+            assert search_kronecker(surface, call, bound) == search_kronecker(fresh, call, bound)
+        paths = ((1, 1, 2), (0, 1, 1), (0, 0, 1))
+        assert search_paths(surface, paths, bound) == search_paths(fresh, paths, bound)
+    assert sorted(surface._pair_levels) == [0, 1, 2]
+    assert search_paths(surface, ((1,),), 2) == ((),)
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [
+        (),
+        ((1, 2), (0, 1), (0, 0)),  # not square
+        ((1, 2, 1), (0, 1)),  # a short row
+        ((1, 2), (0, 2)),  # a diagonal entry other than 1
+        ((0, 2), (0, 1)),
+        ((1, 2), (1, 1)),  # a nonzero entry below the diagonal
+        ((1, -1), (0, 1)),  # a negative entry
+        ((1, 1.5), (0, 1)),  # not an integer
+    ],
+)
+def test_search_paths_rejects_malformed_paths(paths):
+    with pytest.raises(ValueError, match="paths"):
+        search_paths(p1xp1(), paths, 1)
+
+
+def test_search_paths_rejects_negative_bound():
+    with pytest.raises(ValueError, match="nonnegative"):
+        search_paths(p1xp1(), ((1, 1), (0, 1)), -1)
 
 
 def test_star_family_small_cases():

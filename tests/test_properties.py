@@ -1,16 +1,19 @@
 """Property tests on random iterated blow-ups of P2, P1 x P1 and F2 and on
 random quivers: the integer toric formulas against their Fraction oracles,
-the cached cohomology and the `pair_hom` searches against raw triples, and
-the four-vertex witness scan against the scan over every subset size."""
+the cached cohomology and the `pair_hom` searches against raw triples, the
+level-set searches against the box loops they replace and `search_paths`
+against a scan over every tuple of box vectors, and the four-vertex witness
+scan against the scan over every subset size."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivsurf.exceptional import pair_hom, search_abc, search_kronecker, solve_abc
+from quivsurf.exceptional import pair_hom, search_abc, search_kronecker, search_paths, solve_abc
 from quivsurf.quivers import forbidden_full_subquiver, obstruction_report
 from quivsurf.toric import ConsistencyError, KClass, ToricSurface, random_blowup_surface
 
@@ -23,8 +26,12 @@ from oracles import (
     rank_one_bipartite_quiver,
     raw_cohomology,
     rr_chi_by_intersect,
+    search_abc_by_box_loop,
     search_abc_by_triples,
+    search_kronecker_by_box_loop,
     search_kronecker_by_triples,
+    search_paths_by_tuple_scan,
+    strong_pair_hom,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -152,11 +159,41 @@ def test_cohomology_fast_paths_match_raw_oracle(s, data):
 def test_searches_match_raw_triple_oracles(s, bound):
     coh = functools.lru_cache(maxsize=None)(lambda v: raw_cohomology(s, s.lift_pic(v)))
     rho = s.picard_rank
+    # the level-set searches also match the box loops they replace
     for a, b, c in solve_abc(3):
         expected = search_abc_by_triples(coh, rho, a, b, c, bound)
-        assert search_abc(s, a, b, c, bound).pairs == expected
+        assert search_abc(s, a, b, c, bound).pairs == expected == search_abc_by_box_loop(s, a, b, c, bound)
     for n in range(1, 5):
-        assert search_kronecker(s, n, bound) == search_kronecker_by_triples(coh, rho, n, bound)
+        expected = search_kronecker_by_triples(coh, rho, n, bound)
+        assert search_kronecker(s, n, bound) == expected == search_kronecker_by_box_loop(s, n, bound)
+
+
+@PROPERTY
+@given(surfaces.filter(lambda s: s.picard_rank <= 3), st.integers(0, 2), st.integers(3, 4), st.data())
+def test_search_paths_matches_tuple_scan(s, bound, n, data):
+    rho = s.picard_rank
+    if n == 4 and rho == 3:
+        bound = min(bound, 1)  # the scan tests box^3: 27^3 tuples, not 125^3
+    coh = functools.lru_cache(maxsize=None)(lambda v: raw_cohomology(s, s.lift_pic(v)))
+    entries = st.integers(0, 3)
+    paths = [[1 if i == j else 0 if j < i else data.draw(entries) for j in range(n)] for i in range(n)]
+    assert search_paths(s, paths, bound) == search_paths_by_tuple_scan(coh, rho, paths, bound)
+    # random paths are rarely realisable, so also build a strong collection
+    # one box vector at a time and search for its forward Hom dimensions
+    def hom(x, y):
+        return strong_pair_hom(coh, tuple(b - a for a, b in zip(x, y)))
+
+    box = list(itertools.product(range(-bound, bound + 1), repeat=rho))
+    ds = [(0,) * rho]
+    for _ in range(n - 1):
+        options = [v for v in box if all(hom(d, v) is not None for d in ds)]
+        if not options:
+            return
+        ds.append(data.draw(st.sampled_from(options)))
+    homs = [[hom(ds[i], ds[j]) if i < j else int(i == j) for j in range(n)] for i in range(n)]
+    found = search_paths(s, homs, bound)
+    assert tuple(ds[1:]) in found
+    assert found == search_paths_by_tuple_scan(coh, rho, homs, bound)
 
 
 @PROPERTY
