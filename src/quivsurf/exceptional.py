@@ -233,22 +233,24 @@ def search_paths(
 
 
 def _realise(surface: ToricSurface, paths: Sequence[Sequence[int]], bound: int) -> tuple:
-    """search_paths on checked arguments. Each partial collection, in box
-    order, is extended by every D_k in L(paths[0][k]) whose differences
+    """search_paths on checked arguments."""
+    return tuple(_extend(surface, paths, _level_sets(surface, bound), ()))
+
+
+def _extend(surface: ToricSurface, paths: Sequence[Sequence[int]], levels: dict, ds: tuple):
+    """Every completion of the partial collection ds, depth-first in box
+    order: D_k runs over L(paths[0][k]) and is kept when its differences
     D_k - D_i with 0 < i < k have paths[i][k] morphisms."""
-    levels = _level_sets(surface, bound)
-    found = [()]
-    for k in range(1, len(paths)):
-        found = [
-            ds + (v,)
-            for ds in found
-            for v in levels.get(paths[0][k], ())
-            if all(
-                pair_hom(surface, surface.lift_pic(sub_divisors(v, d))) == paths[i][k]
-                for i, d in enumerate(ds, 1)
-            )
-        ]
-    return tuple(found)
+    k = len(ds) + 1
+    if k == len(paths):
+        yield ds
+        return
+    for v in levels.get(paths[0][k], ()):
+        if all(
+            pair_hom(surface, surface.lift_pic(sub_divisors(v, d))) == paths[i][k]
+            for i, d in enumerate(ds, 1)
+        ):
+            yield from _extend(surface, paths, levels, ds + (v,))
 
 
 def search_abc(

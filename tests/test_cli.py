@@ -356,6 +356,13 @@ def test_search_limits_the_box(capsys):
     code, out, err = run_cli(capsys, "search", "dP6", "1", "1", "1", "--bound", "5")
     assert (code, out) == (2, "")
     assert err == "error: search box (2 * 5 + 1)^4 has 14641 points; the limit is 10000\n"
+    # 9^4 = 6,561 points are allowed on dP6 (rho 4); the impossible triple
+    # (1, 1, 0) returns before any cohomology
+    code, out, _ = run_cli(capsys, "search", "dP6", "1", "1", "0", "--bound", "4")
+    assert code == 0 and json.loads(out)["result"]["bound"] == 4
+    # 101^2 = 10,201 points on P1xP1 are rejected (by the bound limit first)
+    code, out, _ = run_cli(capsys, "search", "P1xP1", "1", "1", "0", "--bound", "50")
+    assert (code, out) == (2, "")
 
 
 def test_search_limits_the_bound(capsys):
