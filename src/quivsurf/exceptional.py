@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .linalg import FrozenValue
+from .linalg import FrozenValue, _as_ints
 from .toric import (
     ToricSurface,
     add_divisors,
@@ -36,7 +36,7 @@ class LineBundle(FrozenValue):
     __slots__ = ("divisor",)
 
     def __init__(self, divisor: tuple):
-        self._init(tuple(int(c) for c in divisor))
+        self._init(_as_ints(divisor, "divisor coefficient"))
 
 
 class CurveSheaf(NamedTuple):
@@ -180,7 +180,11 @@ def pair_hom(surface: ToricSurface, d: Sequence[int]) -> Optional[int]:
     """n when (O, O(D)) is a strong exceptional pair with n morphisms, that
     is O(D) has cohomology (n, 0, 0) and O(-D) has none; None otherwise.
     D is given in ray coefficients, and checked once for both lookups."""
-    d = surface._check_divisor(d)
+    return _pair_hom(surface, surface._check_divisor(d))
+
+
+def _pair_hom(surface: ToricSurface, d: tuple) -> Optional[int]:
+    """pair_hom of a checked divisor."""
     h0, h1, h2 = surface._coh(d)
     if h1 or h2 or surface._coh(neg_divisor(d)) != (0, 0, 0):
         return None
@@ -191,12 +195,13 @@ def _level_sets(surface: ToricSurface, bound: int) -> dict:
     """The level sets L(n) = {v : pair_hom(v) = n} of the Picard box
     [-bound, bound]^rho, each a tuple in box order, keyed by n; vectors with
     no strong pair are left out. Built once per surface and bound, by one
-    pair_hom per box point, and kept on the surface, which never changes."""
+    pair_hom per box point, and kept on the surface, which never changes.
+    A Picard vector of ints padded with (0, 0) is a checked divisor."""
     levels = surface._pair_levels.get(bound)
     if levels is None:
         found: dict = {}
         for v in itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank):
-            n = pair_hom(surface, surface.lift_pic(v))
+            n = _pair_hom(surface, v + (0, 0))
             if n is not None:
                 found.setdefault(n, []).append(v)
         levels = surface._pair_levels[bound] = {n: tuple(vs) for n, vs in found.items()}
@@ -247,7 +252,7 @@ def _extend(surface: ToricSurface, paths: Sequence[Sequence[int]], levels: dict,
         return
     for v in levels.get(paths[0][k], ()):
         if all(
-            pair_hom(surface, surface.lift_pic(sub_divisors(v, d))) == paths[i][k]
+            _pair_hom(surface, sub_divisors(v, d) + (0, 0)) == paths[i][k]
             for i, d in enumerate(ds, 1)
         ):
             yield from _extend(surface, paths, levels, ds + (v,))

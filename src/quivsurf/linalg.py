@@ -11,6 +11,7 @@ hence signatures) are exact.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -21,6 +22,17 @@ class Signature(NamedTuple):
     n_plus: int
     n_minus: int
     n_zero: int
+
+
+def _as_ints(values, what: str) -> tuple:
+    """values as a tuple of ints, converted exactly by operator.index: an
+    entry that is not an integer (a float, a Fraction, a string) raises
+    ValueError naming it, where int() would truncate or parse it."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
+        raise ValueError(f"{what} {bad!r} is not an integer") from None
 
 
 class FrozenValue:

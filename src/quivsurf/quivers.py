@@ -20,6 +20,7 @@ from .linalg import (
     ExactMatrix,
     FrozenValue,
     Signature,
+    _as_ints,
     _integer_rows,
     rank_rational,
     signature_symmetric,
@@ -38,7 +39,7 @@ class Quiver(FrozenValue):
     def __init__(self, vertices: int, arrows: tuple):
         if vertices < 1:
             raise ValueError("quiver needs at least one vertex")
-        arrows = tuple((int(s), int(t)) for s, t in arrows)
+        arrows = tuple(_as_ints(arrow, "arrow endpoint") for arrow in arrows)
         for s, t in arrows:
             if not (0 <= s < vertices and 0 <= t < vertices):
                 raise ValueError(f"arrow ({s},{t}) out of range for {vertices} vertices")

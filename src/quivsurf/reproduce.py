@@ -219,6 +219,16 @@ def star_family_item() -> dict:
     }
 
 
+def _serre_unipotent_on(s, x) -> bool:
+    """(S - 1)^3 x = 0, with S - 1 applied to the integer data of x:
+    S y - y has rank 0, and its c1 and 2 ch2 are the shift that the rank
+    and c1 of y determine."""
+    rank, c1 = x.rank, x.c1
+    for _ in range(3):
+        (c1, twice_ch2), rank = s._twist_shift(rank, c1), 0
+    return twice_ch2 == 0 and not any(c1)
+
+
 def surface_theorems_item(seed: int = DEFAULT_SEED) -> dict:
     presets = ("P2", "P1xP1", "F2", "F3", "Bl1P2", "Bl2P2", "Bl3P2")
     surfaces = [(name, preset(name)) for name in presets]
@@ -228,23 +238,15 @@ def surface_theorems_item(seed: int = DEFAULT_SEED) -> dict:
     ]
     rows = []
     for name, s in surfaces:
-        gram = s.knum_gram()
+        basis = s.knum_basis()
+        gram = s.euler_form(basis, basis)
         report = obstruction_report(gram)
         rank, sig = report.rank_chi_minus, report.signature_chi_plus
-        basis = s.knum_basis()
-
-        def twist_minus_id(x, s=s):
-            return s.serre_twist(x) - x
-
-        nilpotent = all(
-            twist_minus_id(twist_minus_id(twist_minus_id(x))).is_zero for x in basis
-        )
-        # chi(x, y) = chi(y, S x), with chi(x, y) read off the Gram matrix
-        duality = all(
-            chi_xy == s.euler_pairing(y, twisted)
-            for row, twisted in zip(gram.int_rows(), map(s.serre_twist, basis))
-            for chi_xy, y in zip(row, basis)
-        )
+        nilpotent = all(_serre_unipotent_on(s, x) for x in basis)
+        # chi(x, y) = chi(y, S x): the pairings of (basis, S basis) are the
+        # transposed Gram matrix
+        twisted = [s.serre_twist(x) for x in basis]
+        duality = s.euler_form(basis, twisted) == [list(col) for col in zip(*gram)]
         noether = s.k_squared() + s.n_rays == 12
         ok = (
             rank == 2

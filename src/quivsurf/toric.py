@@ -19,9 +19,10 @@ import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import ExactMatrix, FrozenValue
+from .linalg import ExactMatrix, FrozenValue, _as_ints
 
 
 class FanError(ValueError):
@@ -51,17 +52,26 @@ class KClass(FrozenValue):
     __slots__ = ("rank", "c1", "ch2")
 
     def __init__(self, rank: int, c1: tuple, ch2):
-        c1 = tuple(map(int, c1))
+        (rank,) = _as_ints((rank,), "rank")
+        c1 = _as_ints(c1, "c1 coefficient")
         ch2 = ch2 if type(ch2) is int else Fraction(ch2)
         if ch2.denominator not in (1, 2):
             raise ValueError("ch2 must be an integer or half-integer")
         self._init(rank, c1, ch2.numerator if ch2.denominator == 1 else ch2)
 
+    @classmethod
+    def _of(cls, rank: int, c1: tuple, twice_ch2: int) -> "KClass":
+        """The class with ch2 = twice_ch2 / 2, from ints already checked:
+        no validation runs again."""
+        x = object.__new__(cls)
+        x._init(rank, c1, _half(twice_ch2))
+        return x
+
     def __sub__(self, other: "KClass") -> "KClass":
-        return KClass(
+        return KClass._of(
             self.rank - other.rank,
-            tuple(a - b for a, b in zip(self.c1, other.c1)),
-            self.ch2 - other.ch2,
+            sub_divisors(self.c1, other.c1),
+            _twice(self.ch2) - _twice(other.ch2),
         )
 
     @property
@@ -122,7 +132,7 @@ class ToricSurface:
     """Smooth complete toric surface built from a list of primitive rays."""
 
     def __init__(self, rays: Iterable[Sequence[int]]):
-        rays = [tuple(int(c) for c in r) for r in rays]
+        rays = [_as_ints(r, "ray coordinate") for r in rays]
         if len(rays) < 3:
             raise FanError("a complete fan needs at least 3 rays")
         for r in rays:
@@ -178,7 +188,7 @@ class ToricSurface:
     def _check_divisor(self, d: Sequence[int]) -> tuple:
         """d as a tuple of ints of the fan's length: the one conversion at
         every public entry point; private paths take its result as is."""
-        return self._check_length(tuple(map(int, d)))
+        return self._check_length(_as_ints(d, "divisor coefficient"))
 
     def _check_length(self, d: tuple) -> tuple:
         if len(d) != len(self.rays):
@@ -192,7 +202,7 @@ class ToricSurface:
     def lift_pic(self, coeffs: Sequence[int]) -> tuple:
         """Divisor with the given coefficients on the Picard basis rays,
         zero on the remaining rays."""
-        coeffs = tuple(map(int, coeffs))
+        coeffs = _as_ints(coeffs, "Picard coordinate")
         if len(coeffs) != self.picard_rank:
             raise ValueError(
                 f"expected {self.picard_rank} Picard coordinates, got {len(coeffs)}"
@@ -303,36 +313,52 @@ class ToricSurface:
     def kclass_point(self) -> KClass:
         return KClass(0, self.zero_divisor(), 1)
 
-    def euler_pairing(self, x: KClass, y: KClass) -> int:
-        """Euler pairing via Riemann-Roch on classes.
+    def _class_data(self, x: KClass) -> tuple:
+        """(rank, c1, the products c1.D_i, -K.c1, 2 ch2): every number of a
+        class that an Euler-form entry reads. KClass.c1 is already a tuple
+        of ints; only its length can be wrong."""
+        c1 = self._check_length(x.c1)
+        products = self._ray_products(c1)
+        return x.rank, c1, products, sum(products), _twice(x.ch2)
+
+    def euler_form(self, xs: Sequence[KClass], ys: Sequence[KClass]) -> list:
+        """The Euler pairings [[chi(x, y) for y in ys] for x in xs], by
+        Riemann-Roch on classes:
 
         chi(x, y) = r_x ch2_y + r_y ch2_x - c1_x.c1_y
                     - (K/2).(r_x c1_y - r_y c1_x) + r_x r_y.
+
+        The data of each class is computed once; each entry is then twice
+        the pairing in integers, with one dot product c1_x.c1_y.
         """
-        # KClass.c1 is already a tuple of ints; only its length can be wrong
-        cx, cy = self._check_length(x.c1), self._check_length(y.c1)
-        py = self._ray_products(cy)
-        # twice the pairing, in integers; -K.C is the sum of the products C.D_i
-        twice = (
-            x.rank * _twice(y.ch2)
-            + y.rank * _twice(x.ch2)
-            - 2 * sum(a * p for a, p in zip(cx, py))
-            + x.rank * sum(py)
-            - y.rank * sum(self._ray_products(cx))
-            + 2 * x.rank * y.rank
-        )
-        if twice % 2 != 0:
-            raise ConsistencyError(f"non-integral Euler pairing {twice}/2")
-        return twice // 2
+        xd = [self._class_data(x) for x in xs]
+        yd = [self._class_data(y) for y in ys]
+        rows = []
+        for rx, cx, _, kx, tx in xd:
+            row = []
+            for ry, _, py, ky, ty in yd:
+                twice = rx * (ty + ky) + ry * (tx - kx) + 2 * (rx * ry - sum(map(mul, cx, py)))
+                if twice % 2 != 0:
+                    raise ConsistencyError(f"non-integral Euler pairing {twice}/2")
+                row.append(twice // 2)
+            rows.append(row)
+        return rows
+
+    def euler_pairing(self, x: KClass, y: KClass) -> int:
+        """Euler pairing chi(x, y): the 1x1 case of euler_form."""
+        return self.euler_form((x,), (y,))[0][0]
 
     def serre_twist(self, x: KClass) -> KClass:
         """Twist by the canonical bundle; the shift acts trivially on classes."""
         c1 = self._check_length(x.c1)
-        return KClass(
-            x.rank,
-            tuple(c - x.rank for c in c1),  # c1 + rank K, with K = -sum D_i
-            _half(_twice(x.ch2) - 2 * sum(self._ray_products(c1)) + x.rank * self._k_squared),
-        )
+        shift_c1, shift_twice_ch2 = self._twist_shift(x.rank, c1)
+        return KClass._of(x.rank, add_divisors(c1, shift_c1), _twice(x.ch2) + shift_twice_ch2)
+
+    def _twist_shift(self, rank: int, c1: tuple) -> tuple:
+        """(c1, 2 ch2) of S x - x for a class x of the given rank and checked
+        c1, where S twists by K = -sum D_i: rank K and 2 c1.K + rank K^2.
+        S x - x has rank 0 and does not depend on ch2."""
+        return (-rank,) * len(c1), rank * self._k_squared - 2 * sum(self._ray_products(c1))
 
     def knum_basis(self) -> tuple:
         """Ordered basis of the numerical Grothendieck group:
@@ -345,9 +371,7 @@ class ToricSurface:
     def knum_gram(self) -> ExactMatrix:
         """(rho+2)-square Euler-pairing Gram matrix in the knum basis."""
         basis = self.knum_basis()
-        return ExactMatrix.from_rows(
-            [[self.euler_pairing(x, y) for y in basis] for x in basis]
-        )
+        return ExactMatrix.from_rows(self.euler_form(basis, basis))
 
     # --- Ext dimensions for mixed pairs ----------------------------------------
 

@@ -115,6 +115,27 @@ def test_euler_pairing_on_realisable_classes(s, data):
             assert s.euler_pairing(x, y) == s.euler_pairing(y, s.serre_twist(x))
 
 
+def integral_kclasses(surface):
+    # 2 ch2 = c1^2 mod 2 makes every pairing an integer; ch2 is a
+    # half-integer whenever c1^2 is odd
+    def build(rank, c1, k):
+        return KClass(rank, c1, Fraction(surface.intersect(c1, c1) + 2 * k, 2))
+
+    return st.builds(build, st.integers(-3, 3), divisors(surface, st.integers(-5, 5)), st.integers(-10, 10))
+
+
+@PROPERTY
+@given(surfaces, st.data())
+def test_euler_form_matches_fraction_formula_and_serre_duality(s, data):
+    xs = data.draw(st.lists(integral_kclasses(s), min_size=1, max_size=4))
+    ys = data.draw(st.lists(integral_kclasses(s), min_size=1, max_size=4))
+    form = s.euler_form(xs, ys)
+    assert form == [[euler_pairing_fraction(s, x, y) for y in ys] for x in xs]
+    assert all(type(e) is int for row in form for e in row)
+    # chi(x, y) = chi(y, S x) on random pairs, not only on the knum basis
+    assert s.euler_form(ys, [s.serre_twist(x) for x in xs]) == [list(c) for c in zip(*form)]
+
+
 @PROPERTY
 @given(surfaces, st.data())
 def test_cohomology_cache_never_mixes_up_divisors(s, data):

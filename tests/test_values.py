@@ -16,10 +16,12 @@ from quivsurf.exceptional import (
     StarFamilyReport,
     TableCase,
     VerifyResult,
+    line_collection,
+    pair_hom,
 )
 from quivsurf.linalg import ExactMatrix, Signature
 from quivsurf.quivers import ObstructionReport, Quiver
-from quivsurf.toric import KClass, projective_plane
+from quivsurf.toric import KClass, ToricSurface, p1xp1, projective_plane
 
 HOM = ((1, 0, 0), (0, 0, 0))
 
@@ -82,6 +84,7 @@ def test_kclass_ch2_is_an_int_unless_half_integral():
     half = KClass(1, c1, Fraction(-3, 2))
     assert type(half.ch2) is Fraction and half.ch2 == Fraction(-3, 2)
     assert half != KClass(1, c1, -1) and half != KClass(1, c1, -2)
+    assert half - half == KClass(0, (0, 0, 0), 0) and type((half - half).ch2) is int
     s = projective_plane()
     assert type(s.kclass_line((1, 0, 0)).ch2) is Fraction
     assert type(s.kclass_line((2, 0, 0)).ch2) is int
@@ -110,3 +113,35 @@ def test_constructor_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+P2 = projective_plane()
+
+# every library entry point that reads integers, each given one bad value x
+NON_INTEGER_ENTRY_POINTS = {
+    "ToricSurface": lambda x: ToricSurface([(x, 0), (0, 1), (-1, -1)]),
+    "cohomology": lambda x: P2.cohomology((x, 0, 0)),
+    "h0_lattice_points": lambda x: P2.h0_lattice_points((0, x, 0)),
+    "rr_chi": lambda x: P2.rr_chi((0, 0, x)),
+    "intersect": lambda x: P2.intersect((1, 0, 0), (x, 0, 0)),
+    "lift_pic": lambda x: p1xp1().lift_pic((1, x)),
+    "kclass_line": lambda x: P2.kclass_line((x, 0, 0)),
+    "kclass_curve": lambda x: P2.kclass_curve((1, x, 0)),
+    "ext_line_to_curve": lambda x: P2.ext_line_to_curve((x, 0, 0), 0),
+    "ext_curve_to_line": lambda x: P2.ext_curve_to_line(0, (x, 0, 0)),
+    "KClass c1": lambda x: KClass(1, (x, 0, 0), 0),
+    "KClass rank": lambda x: KClass(x, (0, 0, 0), 0),
+    "LineBundle": lambda x: LineBundle((x, 0, 0)),
+    "line_collection": lambda x: line_collection(P2, [(0, 0, 0), (x, 0, 0)]),
+    "pair_hom": lambda x: pair_hom(P2, (x, 0, 0)),
+    "Quiver": lambda x: Quiver(2, ((0, x),)),
+}
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, Fraction(1, 2), "1"], ids=repr)
+@pytest.mark.parametrize("entry", NON_INTEGER_ENTRY_POINTS)
+def test_non_integers_are_rejected_not_truncated(entry, bad):
+    # int() would turn 1.9 into 1 and parse "1"; the value is named instead
+    with pytest.raises(ValueError) as info:
+        NON_INTEGER_ENTRY_POINTS[entry](bad)
+    assert str(info.value).endswith(f"{bad!r} is not an integer")
