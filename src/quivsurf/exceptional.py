@@ -19,6 +19,7 @@ surface, so later searches on that surface reuse every pair_hom of the box;
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .linalg import FrozenValue, _as_ints
@@ -58,8 +59,7 @@ class Collection(FrozenValue):
             if isinstance(obj, LineBundle):
                 surface._check_divisor(obj.divisor)
             elif isinstance(obj, CurveSheaf):
-                if not (0 <= obj.ray < surface.n_rays):
-                    raise ValueError(f"curve ray {obj.ray} out of range")
+                surface._check_ray(obj.ray, "curve ray")
             else:
                 raise ValueError(f"unsupported collection object {obj!r}")
         self._init(surface, objects)
@@ -155,7 +155,7 @@ def abc_of(c: Collection) -> tuple:
 
 def solve_abc(max_value: int) -> list:
     """All triples 0 <= a,b,c <= max_value with a + b = ab + c, in lex order."""
-    _check_bound(max_value, "solve-abc maximum")
+    max_value = _check_bound(max_value, "solve-abc maximum")
     # c = 1 - (a-1)(b-1) >= 0 allows any b for a <= 1, and for a >= 2 only
     # b <= 1 (and b = 2 when a = 2); each such c lies in [0, max_value].
     return [
@@ -171,9 +171,17 @@ class AbcSearchResult(NamedTuple):
     diagnostic: Optional[str]
 
 
-def _check_bound(bound: int, what: str) -> None:
-    if bound < 0:
-        raise ValueError(f"{what} must be nonnegative, got {bound}")
+def _check_bound(value: int, what: str, least: int = 0) -> int:
+    """value as an int, converted by operator.index; a non-integer or a
+    value below least raises ValueError naming what."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+    if value < least:
+        need = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {need}, got {value}")
+    return value
 
 
 def pair_hom(surface: ToricSurface, d: Sequence[int]) -> Optional[int]:
@@ -230,9 +238,9 @@ def search_paths(
     i < j is a strong exceptional pair with paths[i][j] morphisms; so
     (O, O(D_1), ..., O(D_{n-1})) is a strong exceptional collection whose
     forward Hom dimensions are the upper unitriangular matrix paths.
-    Tuples come in lexicographic box order. A malformed paths matrix or a
-    negative bound raises ValueError."""
-    _check_bound(bound, "search bound")
+    Tuples come in lexicographic box order. A malformed paths matrix, or a
+    bound that is negative or not an integer, raises ValueError."""
+    bound = _check_bound(bound, "search bound")
     _check_paths(paths)
     return _realise(surface, paths, bound)
 
@@ -266,12 +274,13 @@ def search_abc(
 
     An impossible triple (a + b != ab + c) returns an empty result with a
     diagnostic; for any strong exceptional triple of line bundles the
-    identity a + b = ab + c is forced by Riemann-Roch. A negative bound or
-    arrow count raises ValueError.
+    identity a + b = ab + c is forced by Riemann-Roch. A bound or arrow
+    count that is negative or not an integer raises ValueError.
     """
-    _check_bound(bound, "search bound")
-    if min(a, b, c) < 0:
-        raise ValueError(f"arrow counts must be nonnegative, got (a,b,c)=({a},{b},{c})")
+    bound = _check_bound(bound, "search bound")
+    a = _check_bound(a, "arrow count")
+    b = _check_bound(b, "arrow count")
+    c = _check_bound(c, "arrow count")
     if a + b != a * b + c:
         return AbcSearchResult(
             (a, b, c),
@@ -287,9 +296,8 @@ def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
     """All D in Picard coordinates with entries in [-bound, bound] such that
     (O, O(D)) is a strong exceptional pair with n forward morphisms, i.e. a
     rank-one realisation of the n-arrow Kronecker quiver."""
-    if n < 1:
-        raise ValueError("Kronecker search needs n >= 1")
-    _check_bound(bound, "search bound")
+    n = _check_bound(n, "Kronecker arrow count", 1)
+    bound = _check_bound(bound, "search bound")
     return tuple(d for (d,) in _realise(surface, ((1, n), (0, 1)), bound))
 
 
@@ -344,8 +352,7 @@ def verify_star_family(n: int) -> StarFamilyReport:
     """Build and verify the collection (O, O_{E_1}, ..., O_{E_n}) whose
     endomorphism quiver is the n-leaf star: one morphism from the structure
     sheaf to each exceptional curve, none between distinct curves."""
-    if n < 0:
-        raise ValueError("star family needs n >= 0")
+    n = _check_bound(n, "star family size")
     if n > STAR_FAMILY_MAX:
         raise ValueError(f"star family bound exceeded: n={n} > {STAR_FAMILY_MAX}")
     s, rays = star_family_surface(n)
@@ -419,8 +426,7 @@ def check_table_case(
 def verify_divisor_table(m_max: int) -> list:
     """Run every parametrised row of the 3-vertex divisor table for
     m = 1..m_max on the degree-6 del Pezzo surface."""
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+    m_max = _check_bound(m_max, "m_max", 1)
     surface = blowup_p2(3)
     cases = []
     for row, abc_of_m, d_of_m, e_of_m in TABLE_ROWS:

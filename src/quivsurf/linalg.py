@@ -89,43 +89,6 @@ class ExactMatrix(FrozenValue):
             raise ValueError("matrix must be non-empty")
         return cls(len(grid), len(grid[0]), tuple(tuple(r) for r in grid))
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, key) -> Fraction:
-        i, j = key
-        return self.entries[i][j]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix.from_rows(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix.from_rows(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        cols = list(zip(*other.entries))
-        return ExactMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
-
-    def _check_same_shape(self, other: "ExactMatrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols

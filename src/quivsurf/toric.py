@@ -6,7 +6,7 @@ counterclockwise; every adjacent pair must span a basis of the lattice
 relation v_{i-1} + v_{i+1} = -(D_i^2) v_i pins down the self-intersection
 numbers, and everything else (Riemann-Roch, line-bundle cohomology via
 lattice points, blow-ups, the numerical Grothendieck group and its Euler
-pairing) is derived from the fan by exact integer/rational arithmetic.
+pairing) is derived from the fan by exact integer arithmetic.
 
 Divisors are integer coefficient tuples indexed by rays. Picard-basis
 coordinates refer to the first rho = #rays - 2 rays; the remaining two
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from functools import cmp_to_key
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -46,37 +45,31 @@ class CohDims(NamedTuple):
 
 
 class KClass(FrozenValue):
-    """Class in the numerical Grothendieck group: rank, first Chern class,
-    and the degree-2 Chern character ch2 (an int, or a half-integer Fraction)."""
+    """Class in the numerical Grothendieck group: rank, first Chern class
+    and twice the degree-2 Chern character, all ints."""
 
-    __slots__ = ("rank", "c1", "ch2")
+    __slots__ = ("rank", "c1", "twice_ch2")
 
-    def __init__(self, rank: int, c1: tuple, ch2):
+    def __init__(self, rank: int, c1: tuple, twice_ch2: int):
         (rank,) = _as_ints((rank,), "rank")
-        c1 = _as_ints(c1, "c1 coefficient")
-        ch2 = ch2 if type(ch2) is int else Fraction(ch2)
-        if ch2.denominator not in (1, 2):
-            raise ValueError("ch2 must be an integer or half-integer")
-        self._init(rank, c1, ch2.numerator if ch2.denominator == 1 else ch2)
-
-    @classmethod
-    def _of(cls, rank: int, c1: tuple, twice_ch2: int) -> "KClass":
-        """The class with ch2 = twice_ch2 / 2, from ints already checked:
-        no validation runs again."""
-        x = object.__new__(cls)
-        x._init(rank, c1, _half(twice_ch2))
-        return x
+        (twice_ch2,) = _as_ints((twice_ch2,), "twice_ch2")
+        self._init(rank, _as_ints(c1, "c1 coefficient"), twice_ch2)
 
     def __sub__(self, other: "KClass") -> "KClass":
-        return KClass._of(
+        if len(self.c1) != len(other.c1):
+            raise ValueError(
+                f"cannot subtract a class with {len(other.c1)} c1 coefficients "
+                f"from one with {len(self.c1)}"
+            )
+        return KClass(
             self.rank - other.rank,
             sub_divisors(self.c1, other.c1),
-            _twice(self.ch2) - _twice(other.ch2),
+            self.twice_ch2 - other.twice_ch2,
         )
 
     @property
     def is_zero(self) -> bool:
-        return self.rank == 0 and self.ch2 == 0 and all(c == 0 for c in self.c1)
+        return self.rank == 0 and self.twice_ch2 == 0 and all(c == 0 for c in self.c1)
 
 
 def _cross(a, b) -> int:
@@ -99,16 +92,6 @@ def _angle_cmp(a, b) -> int:
     if c < 0:
         return 1
     return 0
-
-
-def _twice(ch2) -> int:
-    """2 * ch2 for an int or half-integer Fraction ch2."""
-    return ch2.numerator * 2 // ch2.denominator
-
-
-def _half(n: int):
-    """n / 2: an int when n is even, else a half-integer Fraction."""
-    return n // 2 if n % 2 == 0 else Fraction(n, 2)
 
 
 def p1_cohomology(d: int) -> tuple:
@@ -183,7 +166,16 @@ class ToricSurface:
         return tuple(0 for _ in self.rays)
 
     def ray_divisor(self, i: int) -> tuple:
+        i = self._check_ray(i)
         return tuple(1 if j == i else 0 for j in range(len(self.rays)))
+
+    def _check_ray(self, i: int, what: str = "ray") -> int:
+        """i as a ray index, converted by operator.index; an index outside
+        range(n_rays) raises ValueError, where it would wrap or match no ray."""
+        (i,) = _as_ints((i,), what)
+        if not 0 <= i < len(self.rays):
+            raise ValueError(f"{what} {i} out of range")
+        return i
 
     def _check_divisor(self, d: Sequence[int]) -> tuple:
         """d as a tuple of ints of the fan's length: the one conversion at
@@ -300,7 +292,7 @@ class ToricSurface:
 
     def kclass_line(self, d: Sequence[int]) -> KClass:
         d = self._check_divisor(d)
-        return KClass(1, d, _half(self._dot(d, d)))
+        return KClass(1, d, self._dot(d, d))
 
     def kclass_curve(self, c: Sequence[int]) -> KClass:
         """Class of the structure sheaf of an effective invariant curve,
@@ -308,18 +300,18 @@ class ToricSurface:
         c = self._check_divisor(c)
         if all(x == 0 for x in c) or any(x < 0 for x in c):
             raise ValueError("curve class must be a nonzero effective divisor")
-        return KClass(0, c, _half(-self._dot(c, c)))
+        return KClass(0, c, -self._dot(c, c))
 
     def kclass_point(self) -> KClass:
-        return KClass(0, self.zero_divisor(), 1)
+        return KClass(0, self.zero_divisor(), 2)
 
     def _class_data(self, x: KClass) -> tuple:
-        """(rank, c1, the products c1.D_i, -K.c1, 2 ch2): every number of a
+        """(rank, c1, the products c1.D_i, -K.c1, twice_ch2): every number of a
         class that an Euler-form entry reads. KClass.c1 is already a tuple
         of ints; only its length can be wrong."""
         c1 = self._check_length(x.c1)
         products = self._ray_products(c1)
-        return x.rank, c1, products, sum(products), _twice(x.ch2)
+        return x.rank, c1, products, sum(products), x.twice_ch2
 
     def euler_form(self, xs: Sequence[KClass], ys: Sequence[KClass]) -> list:
         """The Euler pairings [[chi(x, y) for y in ys] for x in xs], by
@@ -352,7 +344,7 @@ class ToricSurface:
         """Twist by the canonical bundle; the shift acts trivially on classes."""
         c1 = self._check_length(x.c1)
         shift_c1, shift_twice_ch2 = self._twist_shift(x.rank, c1)
-        return KClass._of(x.rank, add_divisors(c1, shift_c1), _twice(x.ch2) + shift_twice_ch2)
+        return KClass(x.rank, add_divisors(c1, shift_c1), x.twice_ch2 + shift_twice_ch2)
 
     def _twist_shift(self, rank: int, c1: tuple) -> tuple:
         """(c1, 2 ch2) of S x - x for a class x of the given rank and checked
@@ -400,6 +392,7 @@ class ToricSurface:
         defining section, which is zero on C), leaving
         (1, h0(O_C(C)), h1(O_C(C))).
         """
+        ray_i, ray_j = self._check_ray(ray_i), self._check_ray(ray_j)
         n = len(self.rays)
         if ray_i == ray_j:
             return (1,) + p1_cohomology(self.self_intersections[ray_i])

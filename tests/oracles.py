@@ -29,21 +29,32 @@ from quivsurf.linalg import ExactMatrix, Signature
 from quivsurf.toric import sub_divisors
 
 
+def matmul(a, b) -> list:
+    """The product of two matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def transpose(a) -> list:
+    return [list(col) for col in zip(*a)]
+
+
+def identity(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def charpoly(m: ExactMatrix) -> list:
-    """Coefficients [1, a1, ..., an] of det(tI - M), by Faddeev-LeVerrier."""
+    """Coefficients [1, a1, ..., an] of det(tI - M), by Faddeev-LeVerrier
+    on lists of Fractions."""
     assert m.is_square
     n = m.rows
     coeffs = [Fraction(1)]
-    b = ExactMatrix.identity(n)
+    b = identity(n)
     for k in range(1, n + 1):
-        a = m * b
-        trace = sum(a[i, i] for i in range(n))
-        ak = -trace / k
+        a = matmul(m.entries, b)
+        ak = -sum(a[i][i] for i in range(n)) / k
         coeffs.append(ak)
-        bump = ExactMatrix.from_rows(
-            [[ak if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-        b = a + bump
+        b = [[x + ak if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
     return coeffs
 
 
@@ -299,12 +310,13 @@ def rr_chi_by_intersect(surface, d) -> Fraction:
 
 def euler_pairing_fraction(surface, x, y) -> Fraction:
     """chi(x, y) = r_x ch2_y + r_y ch2_x - c1_x.c1_y
-    - (K/2).(r_x c1_y - r_y c1_x) + r_x r_y, in Fractions."""
+    - (K/2).(r_x c1_y - r_y c1_x) + r_x r_y, in Fractions, with
+    ch2 = twice_ch2 / 2."""
     k = (-1,) * surface.n_rays
     mixed = [x.rank * b - y.rank * a for a, b in zip(x.c1, y.c1)]
     return (
-        x.rank * y.ch2
-        + y.rank * x.ch2
+        x.rank * Fraction(y.twice_ch2, 2)
+        + y.rank * Fraction(x.twice_ch2, 2)
         - intersect_by_table(surface, x.c1, y.c1)
         - Fraction(intersect_by_table(surface, k, mixed), 2)
         + x.rank * y.rank

@@ -154,6 +154,48 @@ def test_negative_bounds_raise():
     assert search_kronecker(p1xp1(), 1, 0) == ()
 
 
+P2 = projective_plane()
+
+# every entry point that takes a count or a bound, each given one bad value x
+SCALAR_ENTRY_POINTS = {
+    "solve_abc": solve_abc,
+    "search_abc bound": lambda x: search_abc(P2, 1, 1, 1, bound=x),
+    "search_abc arrow count": lambda x: search_abc(P2, 1, x, 1, bound=1),
+    "search_kronecker n": lambda x: search_kronecker(p1xp1(), x, 1),
+    "search_kronecker bound": lambda x: search_kronecker(p1xp1(), 2, x),
+    "search_paths bound": lambda x: search_paths(p1xp1(), ((1, 1), (0, 1)), x),
+    "verify_star_family": verify_star_family,
+    "verify_divisor_table": verify_divisor_table,
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, "2"], ids=repr)
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_counts_and_bounds_are_checked_integers(entry, bad):
+    # 2.5 used to give an empty search or leak TypeError; -1 is below every lower bound
+    with pytest.raises(ValueError, match="must be nonnegative|must be at least 1|is not an integer"):
+        SCALAR_ENTRY_POINTS[entry](bad)
+
+
+# every entry point that takes a ray index of P2, each given one bad index x
+RAY_ENTRY_POINTS = {
+    "ray_divisor": lambda x: P2.ray_divisor(x),
+    "ext_line_to_curve": lambda x: P2.ext_line_to_curve((1, 0, 0), x),
+    "ext_curve_to_line": lambda x: P2.ext_curve_to_line(x, (1, 0, 0)),
+    "ext_curve_pair first": lambda x: P2.ext_curve_pair(x, 0),
+    "ext_curve_pair second": lambda x: P2.ext_curve_pair(0, x),
+    "Collection": lambda x: Collection(P2, (CurveSheaf(x),)),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, -1, 3, "0"], ids=repr)
+@pytest.mark.parametrize("entry", RAY_ENTRY_POINTS)
+def test_ray_indices_are_checked(entry, bad):
+    # 1.5 used to match no ray and -1 to wrap round to the last one
+    with pytest.raises(ValueError, match=r"ray \S+ (out of range|is not an integer)$"):
+        RAY_ENTRY_POINTS[entry](bad)
+
+
 def test_search_rejects_impossible_triple():
     outcome = search_abc(p1xp1(), 3, 2, 0, bound=1)
     assert outcome.pairs == ()

@@ -8,7 +8,6 @@ scan against the scan over every subset size."""
 import functools
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,7 +86,7 @@ def kclasses(surface):
         KClass,
         st.integers(-3, 3),
         divisors(surface, st.integers(-5, 5)),
-        st.integers(-20, 20).map(lambda k: Fraction(k, 2)),
+        st.integers(-20, 20),
     )
 
 
@@ -119,7 +118,7 @@ def integral_kclasses(surface):
     # 2 ch2 = c1^2 mod 2 makes every pairing an integer; ch2 is a
     # half-integer whenever c1^2 is odd
     def build(rank, c1, k):
-        return KClass(rank, c1, Fraction(surface.intersect(c1, c1) + 2 * k, 2))
+        return KClass(rank, c1, surface.intersect(c1, c1) + 2 * k)
 
     return st.builds(build, st.integers(-3, 3), divisors(surface, st.integers(-5, 5)), st.integers(-10, 10))
 

@@ -222,18 +222,20 @@ def test_principal_divisors_are_invisible():
 def test_kclass_validation():
     with pytest.raises(ValueError):
         KClass(1, (0, 0, 0), Fraction(1, 3))
-    k = KClass(0, (0, 0, 0), Fraction(3, 2))
-    assert k.ch2 == Fraction(3, 2)
+    with pytest.raises(ValueError):
+        KClass(1, (0, 0, 0), Fraction(3, 2))
+    k = KClass(0, (0, 0, 0), 3)
+    assert k.twice_ch2 == 3
 
 
 def test_kclass_constructors():
     s = blowup_p2(3)
     o = s.kclass_line(s.zero_divisor())
-    assert (o.rank, o.ch2) == (1, 0)
+    assert (o.rank, o.twice_ch2) == (1, 0)
     c = s.kclass_curve(s.ray_divisor(0))
-    assert (c.rank, c.ch2) == (0, Fraction(1, 2))
+    assert (c.rank, c.twice_ch2) == (0, 1)
     p = s.kclass_point()
-    assert (p.rank, p.ch2) == (0, 1) and all(x == 0 for x in p.c1)
+    assert (p.rank, p.twice_ch2) == (0, 2) and all(x == 0 for x in p.c1)
     with pytest.raises(ValueError):
         s.kclass_curve(s.zero_divisor())
     with pytest.raises(ValueError):

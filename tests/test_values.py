@@ -29,7 +29,7 @@ HOM = ((1, 0, 0), (0, 0, 0))
 VALUES = [
     (ExactMatrix, (2, 2, ((1, 2), (3, Fraction(1, 2)))), "entries"),
     (Quiver, (3, ((0, 1), (1, 2), (0, 2))), "arrows"),
-    (KClass, (1, (2, -1), Fraction(3, 2)), "ch2"),
+    (KClass, (1, (2, -1), 3), "twice_ch2"),
     (LineBundle, ((1, 0, -1),), "divisor"),
     (Collection, (projective_plane(), (LineBundle((0, 0, 0)), CurveSheaf(1))), "objects"),
     (CurveSheaf, (2,), "ray"),
@@ -69,26 +69,31 @@ def test_values_of_different_classes_or_fields_differ():
 def test_validating_constructors_normalise_fields():
     assert Quiver(2, [[0, 1]]) == Quiver(2, ((0, 1),))
     assert Quiver(2, [[0, 1]]).arrows == ((0, 1),)
-    assert KClass(1, [0, 0], 0).ch2 == Fraction(0) and KClass(1, [0, 0], 0).c1 == (0, 0)
+    assert KClass(1, [0, 0], 0).twice_ch2 == 0 and KClass(1, [0, 0], 0).c1 == (0, 0)
     assert LineBundle([1, 2, 3]).divisor == (1, 2, 3)
     assert ExactMatrix(1, 1, [[2]]).entries == ((Fraction(2),),)
     assert repr(ExactMatrix.from_rows([[1, 0], [0, 2]])) == "ExactMatrix(2x2: 1 0; 0 2)"
     assert repr(Quiver(2, ((0, 1),))) == "Quiver(vertices=2, arrows=((0, 1),))"
 
 
-def test_kclass_ch2_is_an_int_unless_half_integral():
+def test_kclass_twice_ch2_is_an_int():
     c1 = (1, -2, 0)
-    x, y = KClass(1, c1, Fraction(4, 2)), KClass(1, c1, 2)
+    x, y = KClass(1, list(c1), 4), KClass(1, c1, 4)
     assert x == y and hash(x) == hash(y)
-    assert type(x.ch2) is int and type(y.ch2) is int
-    half = KClass(1, c1, Fraction(-3, 2))
-    assert type(half.ch2) is Fraction and half.ch2 == Fraction(-3, 2)
-    assert half != KClass(1, c1, -1) and half != KClass(1, c1, -2)
-    assert half - half == KClass(0, (0, 0, 0), 0) and type((half - half).ch2) is int
+    assert type(x.twice_ch2) is int and type(y.twice_ch2) is int
+    half = KClass(1, c1, -3)
+    assert half != KClass(1, c1, -2) and half != KClass(1, c1, -4)
+    assert half - half == KClass(0, (0, 0, 0), 0) and type((half - half).twice_ch2) is int
     s = projective_plane()
-    assert type(s.kclass_line((1, 0, 0)).ch2) is Fraction
-    assert type(s.kclass_line((2, 0, 0)).ch2) is int
-    assert type(s.serre_twist(s.kclass_point()).ch2) is int
+    assert s.kclass_line((1, 0, 0)).twice_ch2 == 1
+    assert s.kclass_line((2, 0, 0)).twice_ch2 == 4
+    assert s.kclass_point().twice_ch2 == 2
+    assert type(s.serre_twist(s.kclass_point()).twice_ch2) is int
+
+
+def test_kclass_subtraction_rejects_mismatched_c1():
+    with pytest.raises(ValueError, match="c1 coefficients"):
+        KClass(1, (1, 2, 3), 0) - KClass(1, (1, 2), 0)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +105,6 @@ def test_kclass_ch2_is_an_int_unless_half_integral():
         (lambda: Quiver(3, ((0, 1), (1, 2), (2, 0))), "quiver has an oriented cycle"),
         (lambda: ExactMatrix(2, 2, ((1, 2),)), "entry grid does not match declared shape"),
         (lambda: ExactMatrix(0, 0, ()), "matrix must be non-empty"),
-        (lambda: KClass(1, (0, 0), Fraction(1, 3)), "ch2 must be an integer or half-integer"),
         (lambda: Collection(projective_plane(), ()), "collection must be non-empty"),
         (lambda: Collection(projective_plane(), (CurveSheaf(3),)), "curve ray 3 out of range"),
         (
@@ -131,6 +135,7 @@ NON_INTEGER_ENTRY_POINTS = {
     "ext_curve_to_line": lambda x: P2.ext_curve_to_line(0, (x, 0, 0)),
     "KClass c1": lambda x: KClass(1, (x, 0, 0), 0),
     "KClass rank": lambda x: KClass(x, (0, 0, 0), 0),
+    "KClass twice_ch2": lambda x: KClass(1, (0, 0, 0), x),
     "LineBundle": lambda x: LineBundle((x, 0, 0)),
     "line_collection": lambda x: line_collection(P2, [(0, 0, 0), (x, 0, 0)]),
     "pair_hom": lambda x: pair_hom(P2, (x, 0, 0)),
