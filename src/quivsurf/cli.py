@@ -243,7 +243,7 @@ def cmd_toric(args) -> int:
         "basis": ["point"]
         + [f"curve_ray_{i}" for i in range(surface.picard_rank)]
         + ["structure_sheaf"],
-        "gram": gram.int_rows(),
+        "gram": gram,
         "rank_chi_minus": report.rank_chi_minus,
         "signature_chi_plus": list(report.signature_chi_plus),
     }

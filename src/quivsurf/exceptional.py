@@ -19,11 +19,11 @@ surface, so later searches on that surface reuse every pair_hom of the box;
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .linalg import FrozenValue, _as_ints
+from .linalg import FrozenValue, _as_int, _as_ints
 from .toric import (
+    ConsistencyError,
     ToricSurface,
     add_divisors,
     blowup_p2,
@@ -59,7 +59,7 @@ class Collection(FrozenValue):
             if isinstance(obj, LineBundle):
                 surface._check_divisor(obj.divisor)
             elif isinstance(obj, CurveSheaf):
-                surface._check_ray(obj.ray, "curve ray")
+                _as_int(obj.ray, "curve ray", 0, surface.n_rays - 1)
             else:
                 raise ValueError(f"unsupported collection object {obj!r}")
         self._init(surface, objects)
@@ -74,8 +74,8 @@ def line_collection(surface: ToricSurface, divisors: Sequence[Sequence[int]]) ->
 
 def ext_dims(c: Collection, i: int, j: int) -> tuple:
     """Ext^*(E_i, E_j) dimension triple for a pair of collection objects."""
-    s = c.surface
-    x, y = c.objects[i], c.objects[j]
+    s, last = c.surface, len(c) - 1
+    x, y = c.objects[_as_int(i, "object", 0, last)], c.objects[_as_int(j, "object", 0, last)]
     if isinstance(x, LineBundle) and isinstance(y, LineBundle):
         return tuple(s.cohomology(sub_divisors(y.divisor, x.divisor)))
     if isinstance(x, LineBundle) and isinstance(y, CurveSheaf):
@@ -155,7 +155,7 @@ def abc_of(c: Collection) -> tuple:
 
 def solve_abc(max_value: int) -> list:
     """All triples 0 <= a,b,c <= max_value with a + b = ab + c, in lex order."""
-    max_value = _check_bound(max_value, "solve-abc maximum")
+    max_value = _as_int(max_value, "solve-abc maximum", 0)
     # c = 1 - (a-1)(b-1) >= 0 allows any b for a <= 1, and for a >= 2 only
     # b <= 1 (and b = 2 when a = 2); each such c lies in [0, max_value].
     return [
@@ -169,19 +169,6 @@ class AbcSearchResult(NamedTuple):
     triple: tuple
     pairs: tuple  # ((D_pic, E_pic), ...) with the first object normalised to O
     diagnostic: Optional[str]
-
-
-def _check_bound(value: int, what: str, least: int = 0) -> int:
-    """value as an int, converted by operator.index; a non-integer or a
-    value below least raises ValueError naming what."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
-    if value < least:
-        need = "nonnegative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{what} must be {need}, got {value}")
-    return value
 
 
 def pair_hom(surface: ToricSurface, d: Sequence[int]) -> Optional[int]:
@@ -216,18 +203,21 @@ def _level_sets(surface: ToricSurface, bound: int) -> dict:
     return levels
 
 
-def _check_paths(paths: Sequence[Sequence[int]]) -> None:
+def _check_paths(paths: Sequence[Sequence[int]]) -> tuple:
+    """paths as rows of ints: square, 1 on the diagonal, 0 below it and
+    nonnegative above it."""
     n = len(paths)
     if n == 0:
         raise ValueError("paths must have at least one row")
+    rows = []
     for i, row in enumerate(paths):
         if len(row) != n:
             raise ValueError(f"paths must be square: row {i} has {len(row)} entries, not {n}")
-        for j, x in enumerate(row):
-            want = 1 if j == i else 0 if j < i else None
-            if not isinstance(x, int) or x < 0 or want is not None and x != want:
-                need = "a nonnegative integer" if want is None else want
-                raise ValueError(f"paths[{i}][{j}] must be {need}, got {x!r}")
+        rows.append(tuple(
+            _as_int(x, f"paths[{i}][{j}]", int(j == i), None if j > i else int(j == i))
+            for j, x in enumerate(row)
+        ))
+    return tuple(rows)
 
 
 def search_paths(
@@ -240,9 +230,8 @@ def search_paths(
     forward Hom dimensions are the upper unitriangular matrix paths.
     Tuples come in lexicographic box order. A malformed paths matrix, or a
     bound that is negative or not an integer, raises ValueError."""
-    bound = _check_bound(bound, "search bound")
-    _check_paths(paths)
-    return _realise(surface, paths, bound)
+    bound = _as_int(bound, "search bound", 0)
+    return _realise(surface, _check_paths(paths), bound)
 
 
 def _realise(surface: ToricSurface, paths: Sequence[Sequence[int]], bound: int) -> tuple:
@@ -277,10 +266,10 @@ def search_abc(
     identity a + b = ab + c is forced by Riemann-Roch. A bound or arrow
     count that is negative or not an integer raises ValueError.
     """
-    bound = _check_bound(bound, "search bound")
-    a = _check_bound(a, "arrow count")
-    b = _check_bound(b, "arrow count")
-    c = _check_bound(c, "arrow count")
+    bound = _as_int(bound, "search bound", 0)
+    a = _as_int(a, "arrow count", 0)
+    b = _as_int(b, "arrow count", 0)
+    c = _as_int(c, "arrow count", 0)
     if a + b != a * b + c:
         return AbcSearchResult(
             (a, b, c),
@@ -296,14 +285,14 @@ def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
     """All D in Picard coordinates with entries in [-bound, bound] such that
     (O, O(D)) is a strong exceptional pair with n forward morphisms, i.e. a
     rank-one realisation of the n-arrow Kronecker quiver."""
-    n = _check_bound(n, "Kronecker arrow count", 1)
-    bound = _check_bound(bound, "search bound")
+    n = _as_int(n, "Kronecker arrow count", 1)
+    bound = _as_int(bound, "search bound", 0)
     return tuple(d for (d,) in _realise(surface, ((1, n), (0, 1)), bound))
 
 
 # --- the star family ---------------------------------------------------------
 
-# Largest star S_n that verify_star_family builds.
+# Largest star S_n that star_family_surface builds.
 STAR_FAMILY_MAX = 6
 
 
@@ -328,7 +317,9 @@ def star_family_surface(n: int) -> tuple:
     exist; blowing those up (from the highest wall index down, so indices
     stay put) inserts n new rays that stay pairwise non-adjacent with
     self-intersection -1. Returns (surface, ray indices of those curves).
+    A failure of either property is a bug, raised as ConsistencyError.
     """
+    n = _as_int(n, "star family size", 0, STAR_FAMILY_MAX)
     s = projective_plane()
     for _ in range(max(0, 2 * n - 3)):
         s = s.blow_up(0)
@@ -339,12 +330,10 @@ def star_family_surface(n: int) -> tuple:
     rays = tuple(sorted(s.rays.index(v) for v in inserted))
     for i, j in itertools.combinations(rays, 2):
         if s.intersect(s.ray_divisor(i), s.ray_divisor(j)) != 0:
-            raise ValueError(
-                f"configuration error: exceptional rays {i} and {j} are not disjoint"
-            )
+            raise ConsistencyError(f"exceptional rays {i} and {j} are not disjoint")
     for i in rays:
         if s.self_intersections[i] != -1:
-            raise ValueError(f"configuration error: ray {i} is not a (-1)-curve")
+            raise ConsistencyError(f"ray {i} is not a (-1)-curve")
     return s, rays
 
 
@@ -352,10 +341,8 @@ def verify_star_family(n: int) -> StarFamilyReport:
     """Build and verify the collection (O, O_{E_1}, ..., O_{E_n}) whose
     endomorphism quiver is the n-leaf star: one morphism from the structure
     sheaf to each exceptional curve, none between distinct curves."""
-    n = _check_bound(n, "star family size")
-    if n > STAR_FAMILY_MAX:
-        raise ValueError(f"star family bound exceeded: n={n} > {STAR_FAMILY_MAX}")
     s, rays = star_family_surface(n)
+    n = len(rays)
     coll = Collection(
         s, (LineBundle(s.zero_divisor()),) + tuple(CurveSheaf(i) for i in rays)
     )
@@ -408,7 +395,7 @@ def check_table_case(
     """The strong exceptional pairs (O, O(X)) with a, b and ab+c morphisms
     for X = D, E-D and E that certify one (a,b,c | D,E) entry: the six
     cohomology facts for D, E-D, E and -D, D-E, -E."""
-    a, b, c = abc
+    a, b, c = _as_ints(abc, "arrow count")
     d = surface.lift_pic(d_pic)
     e = surface.lift_pic(e_pic)
     pairs = (("D", "-D", d, a), ("E-D", "D-E", sub_divisors(e, d), b), ("E", "-E", e, a * b + c))
@@ -426,7 +413,7 @@ def check_table_case(
 def verify_divisor_table(m_max: int) -> list:
     """Run every parametrised row of the 3-vertex divisor table for
     m = 1..m_max on the degree-6 del Pezzo surface."""
-    m_max = _check_bound(m_max, "m_max", 1)
+    m_max = _as_int(m_max, "m_max", 1)
     surface = blowup_p2(3)
     cases = []
     for row, abc_of_m, d_of_m, e_of_m in TABLE_ROWS:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class Signature(NamedTuple):
@@ -33,6 +33,24 @@ def _as_ints(values, what: str) -> tuple:
     except TypeError:
         bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
         raise ValueError(f"{what} {bad!r} is not an integer") from None
+
+
+def _as_int(value, what: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """value as an int, converted exactly by operator.index: the one check of
+    every scalar count, index, bound and size. A non-integer, a value below
+    least, or one outside [least, most] when most is given, raises
+    ValueError naming what."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+    if most is not None:
+        if not least <= value <= most:
+            raise ValueError(f"{what} {value} out of range")
+    elif least is not None and value < least:
+        need = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {need}, got {value}")
+    return value
 
 
 class FrozenValue:
@@ -100,13 +118,6 @@ class ExactMatrix(FrozenValue):
             for i in range(self.rows)
             for j in range(i)
         )
-
-    def int_rows(self) -> list:
-        """Entries as plain ints; raises if any entry is non-integral."""
-        rows, scale = _integer_rows(self)
-        if scale != 1:
-            raise ValueError("matrix has non-integer entries")
-        return rows
 
     def __repr__(self) -> str:
         body = "; ".join(

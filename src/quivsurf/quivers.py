@@ -20,6 +20,7 @@ from .linalg import (
     ExactMatrix,
     FrozenValue,
     Signature,
+    _as_int,
     _as_ints,
     _integer_rows,
     rank_rational,
@@ -37,8 +38,7 @@ class Quiver(FrozenValue):
     __slots__ = ("vertices", "arrows")
 
     def __init__(self, vertices: int, arrows: tuple):
-        if vertices < 1:
-            raise ValueError("quiver needs at least one vertex")
+        vertices = _as_int(vertices, "quiver vertex count", 1)
         arrows = tuple(_as_ints(arrow, "arrow endpoint") for arrow in arrows)
         for s, t in arrows:
             if not (0 <= s < vertices and 0 <= t < vertices):
@@ -89,8 +89,9 @@ def euler_matrix_simples(q: Quiver) -> ExactMatrix:
     )
 
 
-def paths_matrix(q: Quiver) -> ExactMatrix:
-    """Directed path counts P[i][j] (length 0 included): the inverse of I - A.
+def paths_matrix(q: Quiver) -> list:
+    """Directed path counts P[i][j] (length 0 included), as rows of ints: the
+    inverse of I - A.
 
     Row v is e_v plus row t once for each arrow v -> t, so parallel arrows
     count separately; filling rows in reverse topological order makes every
@@ -104,7 +105,7 @@ def paths_matrix(q: Quiver) -> ExactMatrix:
             if s == v:
                 row = [x + y for x, y in zip(row, rows[t])]
         rows[v] = row
-    return ExactMatrix.from_rows(rows)
+    return rows
 
 
 def _with_transpose(e: ExactMatrix, op, name: str) -> ExactMatrix:
@@ -182,7 +183,7 @@ def obstruction_report(source) -> ObstructionReport:
     elif isinstance(source, ExactMatrix):
         e = source
     else:
-        e = ExactMatrix.from_rows(source)
+        e = ExactMatrix.from_rows(_as_ints(row, "Gram entry") for row in source)
     if not e.is_square:
         raise ValueError("Euler form must be square")
     rank_cm = rank_rational(chi_minus(e))
@@ -197,8 +198,7 @@ def obstruction_report(source) -> ObstructionReport:
 
 def reflect(q: Quiver, v: int) -> Quiver:
     """BGP reflection: reverse every arrow incident to a sink or source."""
-    if not (0 <= v < q.vertices):
-        raise ValueError(f"vertex {v} out of range")
+    v = _as_int(v, "vertex", 0, q.vertices - 1)
     if not (q.is_sink(v) or q.is_source(v)):
         raise ValueError(f"vertex {v} is neither a sink nor a source")
     arrows = tuple(
@@ -218,8 +218,7 @@ def reflect(q: Quiver, v: int) -> Quiver:
 
 def linear_quiver(n: int) -> Quiver:
     """A_n with linear orientation 0 -> 1 -> ... -> n-1."""
-    if n < 1:
-        raise ValueError("A_n needs n >= 1")
+    n = _as_int(n, "A_n index", 1)
     return Quiver(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
@@ -229,7 +228,7 @@ def tree_quiver(arm_lengths: Sequence[int]) -> Quiver:
     nxt = 1
     for length in arm_lengths:
         prev = 0
-        for _ in range(length):
+        for _ in range(_as_int(length, "arm length", 0)):
             arrows.append((prev, nxt))
             prev = nxt
             nxt += 1
@@ -237,22 +236,17 @@ def tree_quiver(arm_lengths: Sequence[int]) -> Quiver:
 
 
 def dynkin_d(n: int) -> Quiver:
-    if n < 4:
-        raise ValueError("D_n needs n >= 4")
-    return tree_quiver([n - 3, 1, 1])
+    return tree_quiver([_as_int(n, "D_n index", 4) - 3, 1, 1])
 
 
 def dynkin_e(n: int) -> Quiver:
     arms = {6: (1, 2, 2), 7: (1, 2, 3), 8: (1, 2, 4)}
-    if n not in arms:
-        raise ValueError("E_n exists for n in {6,7,8}")
-    return tree_quiver(arms[n])
+    return tree_quiver(arms[_as_int(n, "E_n index", 6, 8)])
 
 
 def affine_a(n: int) -> Quiver:
     """The (n+1)-cycle, oriented acyclically with one source and one sink."""
-    if n < 1:
-        raise ValueError("affine A_n needs n >= 1")
+    n = _as_int(n, "affine A_n index", 1)
     arrows = [(i, i + 1) for i in range(n)]
     arrows.append((0, n))
     return Quiver(n + 1, tuple(arrows))
@@ -260,8 +254,7 @@ def affine_a(n: int) -> Quiver:
 
 def affine_d(n: int) -> Quiver:
     """Chain of n-3 middle vertices with two leaves attached at each end."""
-    if n < 4:
-        raise ValueError("affine D_n needs n >= 4")
+    n = _as_int(n, "affine D_n index", 4)
     middle = n - 3
     arrows = [(i, i + 1) for i in range(middle - 1)]
     leaves = middle
@@ -271,27 +264,23 @@ def affine_d(n: int) -> Quiver:
 
 def affine_e(n: int) -> Quiver:
     arms = {6: (2, 2, 2), 7: (1, 3, 3), 8: (1, 2, 5)}
-    if n not in arms:
-        raise ValueError("affine E_n exists for n in {6,7,8}")
-    return tree_quiver(arms[n])
+    return tree_quiver(arms[_as_int(n, "affine E_n index", 6, 8)])
 
 
 def kronecker(n: int) -> Quiver:
     """Two vertices with n parallel arrows."""
-    if n < 0:
-        raise ValueError("arrow count must be nonnegative")
-    return Quiver(2, tuple((0, 1) for _ in range(n)))
+    return Quiver(2, ((0, 1),) * _as_int(n, "arrow count", 0))
 
 
 def star(n: int) -> Quiver:
     """Hub 0 with n leaves, all arrows outward (the S_n quiver)."""
-    return tree_quiver([1] * n)
+    return tree_quiver([1] * _as_int(n, "star leaf count", 0))
 
 
 def three_vertex(a: int, b: int, c: int) -> Quiver:
     """Q_{a,b,c}: a arrows 0->1, b arrows 1->2, c arrows 0->2."""
-    arrows = [(0, 1)] * a + [(1, 2)] * b + [(0, 2)] * c
-    return Quiver(3, tuple(arrows))
+    a, b, c = (_as_int(x, "arrow count", 0) for x in (a, b, c))
+    return Quiver(3, ((0, 1),) * a + ((1, 2),) * b + ((0, 2),) * c)
 
 
 def dynkin_euclidean_family() -> list:

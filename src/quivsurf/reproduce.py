@@ -135,7 +135,7 @@ def four_vertex_item() -> dict:
         surface, [surface.lift_pic(p) for p in FOUR_VERTEX_COLLECTION_PIC]
     )
     result = verify_collection(coll, strong=True)
-    counts = paths_matrix(reflect(quiver, 0)).int_rows()
+    counts = paths_matrix(reflect(quiver, 0))
     forward = result.forward_hom()
     match = all(
         forward[i][j] == counts[FOUR_VERTEX_MATCH[i]][FOUR_VERTEX_MATCH[j]]

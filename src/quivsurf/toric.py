@@ -21,7 +21,7 @@ from functools import cmp_to_key
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import ExactMatrix, FrozenValue, _as_ints
+from .linalg import FrozenValue, _as_int, _as_ints
 
 
 class FanError(ValueError):
@@ -51,9 +51,7 @@ class KClass(FrozenValue):
     __slots__ = ("rank", "c1", "twice_ch2")
 
     def __init__(self, rank: int, c1: tuple, twice_ch2: int):
-        (rank,) = _as_ints((rank,), "rank")
-        (twice_ch2,) = _as_ints((twice_ch2,), "twice_ch2")
-        self._init(rank, _as_ints(c1, "c1 coefficient"), twice_ch2)
+        self._init(_as_int(rank, "rank"), _as_ints(c1, "c1 coefficient"), _as_int(twice_ch2, "twice_ch2"))
 
     def __sub__(self, other: "KClass") -> "KClass":
         if len(self.c1) != len(other.c1):
@@ -166,16 +164,8 @@ class ToricSurface:
         return tuple(0 for _ in self.rays)
 
     def ray_divisor(self, i: int) -> tuple:
-        i = self._check_ray(i)
+        i = _as_int(i, "ray", 0, len(self.rays) - 1)
         return tuple(1 if j == i else 0 for j in range(len(self.rays)))
-
-    def _check_ray(self, i: int, what: str = "ray") -> int:
-        """i as a ray index, converted by operator.index; an index outside
-        range(n_rays) raises ValueError, where it would wrap or match no ray."""
-        (i,) = _as_ints((i,), what)
-        if not 0 <= i < len(self.rays):
-            raise ValueError(f"{what} {i} out of range")
-        return i
 
     def _check_divisor(self, d: Sequence[int]) -> tuple:
         """d as a tuple of ints of the fan's length: the one conversion at
@@ -282,9 +272,10 @@ class ToricSurface:
 
     def blow_up(self, wall: int) -> "ToricSurface":
         """Blow up the torus-fixed point of the cone spanned by rays
-        wall and wall+1 (cyclically): insert their sum as a new ray."""
+        wall and wall+1 (cyclically): insert their sum as a new ray. The
+        wall is an index in range(n_rays); it does not wrap round."""
         n = len(self.rays)
-        i = wall % n
+        i = _as_int(wall, "wall", 0, n - 1)
         v = add_divisors(self.rays[i], self.rays[(i + 1) % n])
         return ToricSurface(self.rays + (v,))
 
@@ -360,10 +351,11 @@ class ToricSurface:
         classes.append(self.kclass_line(self.zero_divisor()))
         return tuple(classes)
 
-    def knum_gram(self) -> ExactMatrix:
-        """(rho+2)-square Euler-pairing Gram matrix in the knum basis."""
+    def knum_gram(self) -> list:
+        """(rho+2)-square Euler-pairing Gram matrix in the knum basis, as
+        rows of ints."""
         basis = self.knum_basis()
-        return ExactMatrix.from_rows(self.euler_form(basis, basis))
+        return self.euler_form(basis, basis)
 
     # --- Ext dimensions for mixed pairs ----------------------------------------
 
@@ -392,8 +384,8 @@ class ToricSurface:
         defining section, which is zero on C), leaving
         (1, h0(O_C(C)), h1(O_C(C))).
         """
-        ray_i, ray_j = self._check_ray(ray_i), self._check_ray(ray_j)
         n = len(self.rays)
+        ray_i, ray_j = _as_int(ray_i, "ray", 0, n - 1), _as_int(ray_j, "ray", 0, n - 1)
         if ray_i == ray_j:
             return (1,) + p1_cohomology(self.self_intersections[ray_i])
         if (ray_j - ray_i) % n in (1, n - 1):
@@ -428,21 +420,18 @@ def p1xp1() -> ToricSurface:
 
 def hirzebruch(n: int) -> ToricSurface:
     """The ruled surface F_n; F_0 is the quadric P1 x P1."""
-    if n < 0:
-        raise ValueError("Hirzebruch index must be nonnegative")
-    return ToricSurface([(1, 0), (0, 1), (-1, n), (0, -1)])
+    return ToricSurface([(1, 0), (0, 1), (-1, _as_int(n, "Hirzebruch index", 0)), (0, -1)])
 
 
 def blowup_p2(k: int) -> ToricSurface:
-    """P^2 blown up in k torus-fixed points, k <= 3, with the standard fans."""
+    """P^2 blown up in k torus-fixed points, 1 <= k <= 3, with the standard
+    fans; blow_up reaches further."""
     fans = {
         1: [(1, 0), (1, 1), (0, 1), (-1, -1)],
         2: [(1, 0), (0, 1), (-1, 0), (-1, -1), (0, -1)],
         3: [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
     }
-    if k not in fans:
-        raise ValueError("blowup_p2 supports k in {1,2,3}; use blow_up for more")
-    return ToricSurface(fans[k])
+    return ToricSurface(fans[_as_int(k, "blowup_p2 point count", 1, 3)])
 
 
 PRESETS = {

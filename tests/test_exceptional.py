@@ -2,9 +2,34 @@ import random
 
 import pytest
 
-from quivsurf.quivers import obstruction_report, three_vertex
-from quivsurf.toric import UnsupportedExtError, add_divisors, blowup_p2, p1xp1, projective_plane
+from quivsurf.quivers import (
+    Quiver,
+    affine_a,
+    affine_d,
+    affine_e,
+    dynkin_d,
+    dynkin_e,
+    kronecker,
+    linear_quiver,
+    obstruction_report,
+    reflect,
+    star,
+    three_vertex,
+    tree_quiver,
+)
+from quivsurf.toric import (
+    ConsistencyError,
+    ToricSurface,
+    UnsupportedExtError,
+    add_divisors,
+    blowup_p2,
+    hirzebruch,
+    p1xp1,
+    projective_plane,
+)
+from quivsurf import cli
 from quivsurf.exceptional import (
+    STAR_FAMILY_MAX,
     Collection,
     CurveSheaf,
     LineBundle,
@@ -17,6 +42,7 @@ from quivsurf.exceptional import (
     search_kronecker,
     search_paths,
     solve_abc,
+    star_family_surface,
     verify_collection,
     verify_divisor_table,
     verify_star_family,
@@ -156,44 +182,101 @@ def test_negative_bounds_raise():
 
 P2 = projective_plane()
 
-# every entry point that takes a count or a bound, each given one bad value x
+# every library entry point that reads a scalar count, index, bound or size:
+# name -> (call on that one scalar, least accepted value, largest or None).
+# KClass rank and twice_ch2 take any int (see test_values.py); the paths
+# entries of search_paths are covered by test_search_paths_rejects_malformed_paths.
 SCALAR_ENTRY_POINTS = {
-    "solve_abc": solve_abc,
-    "search_abc bound": lambda x: search_abc(P2, 1, 1, 1, bound=x),
-    "search_abc arrow count": lambda x: search_abc(P2, 1, x, 1, bound=1),
-    "search_kronecker n": lambda x: search_kronecker(p1xp1(), x, 1),
-    "search_kronecker bound": lambda x: search_kronecker(p1xp1(), 2, x),
-    "search_paths bound": lambda x: search_paths(p1xp1(), ((1, 1), (0, 1)), x),
-    "verify_star_family": verify_star_family,
-    "verify_divisor_table": verify_divisor_table,
+    "solve_abc": (solve_abc, 0, None),
+    "search_abc bound": (lambda x: search_abc(P2, 1, 1, 1, bound=x), 0, None),
+    "search_abc arrow count": (lambda x: search_abc(P2, 1, x, 1, bound=1), 0, None),
+    "search_kronecker n": (lambda x: search_kronecker(p1xp1(), x, 1), 1, None),
+    "search_kronecker bound": (lambda x: search_kronecker(p1xp1(), 2, x), 0, None),
+    "search_paths bound": (lambda x: search_paths(p1xp1(), ((1, 1), (0, 1)), x), 0, None),
+    "verify_star_family": (verify_star_family, 0, STAR_FAMILY_MAX),
+    "star_family_surface": (star_family_surface, 0, STAR_FAMILY_MAX),
+    "verify_divisor_table": (verify_divisor_table, 1, None),
+    "ext_dims": (lambda x: ext_dims(line_collection(P2, [(0, 0, 0)] * 3), x, 0), 0, 2),
+    "ray_divisor": (lambda x: P2.ray_divisor(x), 0, 2),
+    "ext_line_to_curve": (lambda x: P2.ext_line_to_curve((1, 0, 0), x), 0, 2),
+    "ext_curve_to_line": (lambda x: P2.ext_curve_to_line(x, (1, 0, 0)), 0, 2),
+    "ext_curve_pair first": (lambda x: P2.ext_curve_pair(x, 0), 0, 2),
+    "ext_curve_pair second": (lambda x: P2.ext_curve_pair(0, x), 0, 2),
+    "Collection": (lambda x: Collection(P2, (CurveSheaf(x),)), 0, 2),
+    "blow_up": (lambda x: P2.blow_up(x), 0, 2),
+    "hirzebruch": (hirzebruch, 0, None),
+    "Quiver": (lambda x: Quiver(x, ()), 1, None),
+    "reflect": (lambda x: reflect(Quiver(3, ()), x), 0, 2),
+    "linear_quiver": (linear_quiver, 1, None),
+    "tree_quiver": (lambda x: tree_quiver([1, x]), 0, None),
+    "star": (star, 0, None),
+    "dynkin_d": (dynkin_d, 4, None),
+    "affine_a": (affine_a, 1, None),
+    "affine_d": (affine_d, 4, None),
+    "kronecker": (kronecker, 0, None),
+    "three_vertex a": (lambda x: three_vertex(x, 0, 0), 0, None),
+    "three_vertex b": (lambda x: three_vertex(0, x, 0), 0, None),
+    "three_vertex c": (lambda x: three_vertex(0, 0, x), 0, None),
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, -1, "2"], ids=repr)
-@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def _bad_values(least, most) -> list:
+    """2.5, "2", -1, the value just below the range and the one just above."""
+    bad = [2.5, -1, "2"] + ([least - 1] if least > 0 else [])
+    return bad + ([most + 1] if most is not None else [])
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        pytest.param(entry, bad, id=f"{entry}-{bad!r}")
+        for entry, (_, least, most) in SCALAR_ENTRY_POINTS.items()
+        for bad in _bad_values(least, most)
+    ],
+)
 def test_counts_and_bounds_are_checked_integers(entry, bad):
-    # 2.5 used to give an empty search or leak TypeError; -1 is below every lower bound
-    with pytest.raises(ValueError, match="must be nonnegative|must be at least 1|is not an integer"):
-        SCALAR_ENTRY_POINTS[entry](bad)
+    # 2.5 used to give an empty search or leak TypeError, -1 to wrap round or
+    # give a quiver with no arrows
+    with pytest.raises(ValueError, match=r"must be nonnegative|must be at least \d+|out of range|is not an integer"):
+        SCALAR_ENTRY_POINTS[entry][0](bad)
 
 
-# every entry point that takes a ray index of P2, each given one bad index x
-RAY_ENTRY_POINTS = {
-    "ray_divisor": lambda x: P2.ray_divisor(x),
-    "ext_line_to_curve": lambda x: P2.ext_line_to_curve((1, 0, 0), x),
-    "ext_curve_to_line": lambda x: P2.ext_curve_to_line(x, (1, 0, 0)),
-    "ext_curve_pair first": lambda x: P2.ext_curve_pair(x, 0),
-    "ext_curve_pair second": lambda x: P2.ext_curve_pair(0, x),
-    "Collection": lambda x: Collection(P2, (CurveSheaf(x),)),
-}
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_scalar_range_ends_are_accepted(entry):
+    call, least, most = SCALAR_ENTRY_POINTS[entry]
+    for value in (least,) if most is None else (least, most):
+        try:
+            call(value)
+        except UnsupportedExtError:
+            pass  # ext_curve_pair took both indices, but any two curves of P2 meet
+
+
+@pytest.mark.parametrize("call, last", [(blowup_p2, 3), (dynkin_e, 8), (affine_e, 8)])
+def test_lookup_indices_are_checked_integers(call, last):
+    # a float key used to find the entry of the equal int
+    call(last)
+    with pytest.raises(ValueError, match="is not an integer"):
+        call(float(last))
+    with pytest.raises(ValueError, match="out of range"):
+        call(last + 1)
+
+
+RAY_ENTRIES = (
+    "ray_divisor",
+    "ext_line_to_curve",
+    "ext_curve_to_line",
+    "ext_curve_pair first",
+    "ext_curve_pair second",
+    "Collection",
+)
 
 
 @pytest.mark.parametrize("bad", [1.5, -1, 3, "0"], ids=repr)
-@pytest.mark.parametrize("entry", RAY_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", RAY_ENTRIES)
 def test_ray_indices_are_checked(entry, bad):
     # 1.5 used to match no ray and -1 to wrap round to the last one
     with pytest.raises(ValueError, match=r"ray \S+ (out of range|is not an integer)$"):
-        RAY_ENTRY_POINTS[entry](bad)
+        SCALAR_ENTRY_POINTS[entry][0](bad)
 
 
 def test_search_rejects_impossible_triple():
@@ -297,6 +380,17 @@ def test_star_family_bound():
         verify_star_family(7)
     with pytest.raises(ValueError):
         verify_star_family(-1)
+
+
+def test_star_family_construction_failure_is_internal(monkeypatch, capsys):
+    # a blow-up that also blows up the new ray's first wall leaves it a
+    # (-2)-curve: a failed identity of the construction, not bad input
+    blow_up = ToricSurface.blow_up
+    monkeypatch.setattr(ToricSurface, "blow_up", lambda s, wall: blow_up(blow_up(s, wall), wall))
+    with pytest.raises(ConsistencyError, match=r"is not a \(-1\)-curve"):
+        verify_star_family(1)
+    assert cli.main(["reproduce", "--m-max", "1"]) == cli.EXIT_INTERNAL_ERROR
+    assert "internal error: ConsistencyError" in capsys.readouterr().err
 
 
 def test_divisor_table_first_rows():

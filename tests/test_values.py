@@ -16,11 +16,12 @@ from quivsurf.exceptional import (
     StarFamilyReport,
     TableCase,
     VerifyResult,
+    check_table_case,
     line_collection,
     pair_hom,
 )
 from quivsurf.linalg import ExactMatrix, Signature
-from quivsurf.quivers import ObstructionReport, Quiver
+from quivsurf.quivers import ObstructionReport, Quiver, obstruction_report
 from quivsurf.toric import KClass, ToricSurface, p1xp1, projective_plane
 
 HOM = ((1, 0, 0), (0, 0, 0))
@@ -99,7 +100,7 @@ def test_kclass_subtraction_rejects_mismatched_c1():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Quiver(0, ()), "quiver needs at least one vertex"),
+        (lambda: Quiver(0, ()), "quiver vertex count must be at least 1, got 0"),
         (lambda: Quiver(2, ((0, 2),)), "arrow (0,2) out of range for 2 vertices"),
         (lambda: Quiver(2, ((1, 1),)), "loop at vertex 1: quiver must be acyclic"),
         (lambda: Quiver(3, ((0, 1), (1, 2), (2, 0))), "quiver has an oriented cycle"),
@@ -140,6 +141,8 @@ NON_INTEGER_ENTRY_POINTS = {
     "line_collection": lambda x: line_collection(P2, [(0, 0, 0), (x, 0, 0)]),
     "pair_hom": lambda x: pair_hom(P2, (x, 0, 0)),
     "Quiver": lambda x: Quiver(2, ((0, x),)),
+    "check_table_case": lambda x: check_table_case(P2, (1, x, 1), (1,), (2,)),
+    "obstruction_report": lambda x: obstruction_report([[1, x], [0, 1]]),
 }
 
 
