@@ -186,21 +186,37 @@ def _pair_hom(surface: ToricSurface, d: tuple) -> Optional[int]:
     return h0
 
 
-def _level_sets(surface: ToricSurface, bound: int) -> dict:
-    """The level sets L(n) = {v : pair_hom(v) = n} of the Picard box
-    [-bound, bound]^rho, each a tuple in box order, keyed by n; vectors with
-    no strong pair are left out. Built once per surface and bound, by one
-    pair_hom per box point, and kept on the surface, which never changes.
-    A Picard vector of ints padded with (0, 0) is a checked divisor."""
-    levels = surface._pair_levels.get(bound)
-    if levels is None:
-        found: dict = {}
-        for v in itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank):
-            n = _pair_hom(surface, v + (0, 0))
-            if n is not None:
-                found.setdefault(n, []).append(v)
-        levels = surface._pair_levels[bound] = {n: tuple(vs) for n, vs in found.items()}
-    return levels
+def _level_sets(surface: ToricSurface, bound: int) -> tuple:
+    """(levels, values) for the Picard box [-bound, bound]^rho: values maps
+    each vector v with a strong pair to n = pair_hom(v), and levels maps n
+    to the level set L(n) = {v : pair_hom(v) = n}, a tuple in box order.
+    Built once per surface and bound and kept on the surface, which never
+    changes. The box is symmetric, so it is walked once in pairs (v, -v),
+    with both cohomologies counted uncached; only the strong vectors and
+    their negatives, which verify_collection reads back, enter the
+    cohomology cache. 0 is never a strong pair (O(-0) has sections). A
+    Picard vector of ints padded with (0, 0) is a checked divisor."""
+    memo = surface._pair_levels.get(bound)
+    if memo is None:
+        values: dict = {}
+        cache = surface._coh_cache
+        box = itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank)
+        # box order is lexicographic and negation reverses it: the first
+        # half of the box holds the negatives of the second, and 0 is the
+        # middle point
+        for v in itertools.islice(box, ((2 * bound + 1) ** surface.picard_rank - 1) // 2):
+            w = neg_divisor(v)
+            d, e = v + (0, 0), w + (0, 0)
+            coh_d, coh_e = surface._count_coh(d), surface._count_coh(e)
+            for x, dx, coh_x, dy, coh_y in ((v, d, coh_d, e, coh_e), (w, e, coh_e, d, coh_d)):
+                if not (coh_x.h1 or coh_x.h2 or any(coh_y)):
+                    values[x] = coh_x.h0
+                    cache[dx], cache[dy] = coh_x, coh_y
+        levels: dict = {}
+        for v in sorted(values):
+            levels.setdefault(values[v], []).append(v)
+        memo = surface._pair_levels[bound] = ({n: tuple(vs) for n, vs in levels.items()}, values)
+    return memo
 
 
 def _check_paths(paths: Sequence[Sequence[int]]) -> tuple:
@@ -236,23 +252,29 @@ def search_paths(
 
 def _realise(surface: ToricSurface, paths: Sequence[Sequence[int]], bound: int) -> tuple:
     """search_paths on checked arguments."""
-    return tuple(_extend(surface, paths, _level_sets(surface, bound), ()))
+    levels, values = _level_sets(surface, bound)
+
+    def hom(v: tuple) -> Optional[int]:
+        # pair_hom of a difference D_k - D_i: read from the level sets in the
+        # box, where a vector missing from values has no strong pair
+        if -bound <= min(v) and max(v) <= bound:
+            return values.get(v)
+        return _pair_hom(surface, v + (0, 0))
+
+    return tuple(_extend(paths, levels, hom, ()))
 
 
-def _extend(surface: ToricSurface, paths: Sequence[Sequence[int]], levels: dict, ds: tuple):
+def _extend(paths: Sequence[Sequence[int]], levels: dict, hom, ds: tuple):
     """Every completion of the partial collection ds, depth-first in box
     order: D_k runs over L(paths[0][k]) and is kept when its differences
-    D_k - D_i with 0 < i < k have paths[i][k] morphisms."""
+    D_k - D_i with 0 < i < k have hom(D_k - D_i) = paths[i][k]."""
     k = len(ds) + 1
     if k == len(paths):
         yield ds
         return
     for v in levels.get(paths[0][k], ()):
-        if all(
-            _pair_hom(surface, sub_divisors(v, d) + (0, 0)) == paths[i][k]
-            for i, d in enumerate(ds, 1)
-        ):
-            yield from _extend(surface, paths, levels, ds + (v,))
+        if all(hom(sub_divisors(v, d)) == paths[i][k] for i, d in enumerate(ds, 1)):
+            yield from _extend(paths, levels, hom, ds + (v,))
 
 
 def search_abc(

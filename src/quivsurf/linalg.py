@@ -93,6 +93,8 @@ class ExactMatrix(FrozenValue):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple):
+        rows = _as_int(rows, "matrix row count")
+        cols = _as_int(cols, "matrix column count")
         entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")

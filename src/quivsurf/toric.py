@@ -94,6 +94,7 @@ def _angle_cmp(a, b) -> int:
 
 def p1_cohomology(d: int) -> tuple:
     """(h0, h1) of O(d) on the projective line."""
+    d = _as_int(d, "P1 degree")
     return (max(0, d + 1), max(0, -d - 1))
 
 
@@ -143,7 +144,7 @@ class ToricSurface:
             selfints.append(-p)
         self.self_intersections: tuple = tuple(selfints)
         self._coh_cache: dict = {}  # checked divisor -> CohDims
-        self._pair_levels: dict = {}  # bound -> {n: Picard vectors}, filled by exceptional
+        self._pair_levels: dict = {}  # bound -> (levels, values), filled by exceptional
         # canonical divisor -sum(D_i)
         self.canonical: tuple = (-1,) * n
         self._k_squared = self.intersect(self.canonical, self.canonical)
@@ -257,16 +258,19 @@ class ToricSurface:
 
     def _coh(self, d: tuple) -> CohDims:
         """Cohomology of a checked divisor, through the per-surface cache."""
-        cached = self._coh_cache.get(d)
-        if cached is not None:
-            return cached
+        coh = self._coh_cache.get(d)
+        if coh is None:
+            coh = self._coh_cache[d] = self._count_coh(d)
+        return coh
+
+    def _count_coh(self, d: tuple) -> CohDims:
+        """Cohomology of a checked divisor by two lattice counts, uncached."""
         h0 = self.h0_lattice_points(d)
         h2 = self.h0_lattice_points(tuple(-1 - c for c in d))  # K - D
         h1 = h0 + h2 - self._chi(d)
         if h1 < 0:
             raise ConsistencyError(f"negative h1 for divisor {d}")
-        coh = self._coh_cache[d] = CohDims(h0, h1, h2)
-        return coh
+        return CohDims(h0, h1, h2)
 
     # --- blow-ups ------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from quivsurf.toric import (
     blowup_p2,
     hirzebruch,
     p1xp1,
+    preset,
     projective_plane,
 )
 from quivsurf import cli
@@ -48,7 +50,7 @@ from quivsurf.exceptional import (
     verify_star_family,
 )
 
-from oracles import solve_abc_by_scan
+from oracles import raw_cohomology, solve_abc_by_scan, strong_pair_hom
 
 
 def a2_tilde_collection():
@@ -337,6 +339,40 @@ def test_level_sets_memo_gives_fresh_surface_answers():
         assert search_paths(surface, paths, bound) == search_paths(fresh, paths, bound)
     assert sorted(surface._pair_levels) == [0, 1, 2]
     assert search_paths(surface, ((1,),), 2) == ((),)
+
+
+@pytest.mark.parametrize("name", ["P1xP1", "Bl2P2", "dP6"])
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("abc", [None, (0, 2, 2), (1, 0, 1), (1, 3, 1)], ids=str)
+def test_search_caches_only_strong_vectors_their_negatives_and_outside_differences(name, bound, abc):
+    # a search keeps O(level sets) per surface, not a cohomology triple per
+    # box point; abc_of then reads every triple it needs but that of 0. At
+    # bound 1 some differences E - D leave the box and are cached too.
+    surface = preset(name)
+    box = list(itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank))
+    hom = {v: strong_pair_hom(lambda x: raw_cohomology(surface, surface.lift_pic(x)), v) for v in box}
+    strong = [v for v in box if hom[v] is not None]
+    inside = {surface.lift_pic(x) for v in strong for x in (v, tuple(-c for c in v))}
+    outside = set()
+    if abc is None:
+        search_kronecker(surface, 2, bound)
+    else:
+        a, b, c = abc
+        found = search_abc(surface, a, b, c, bound).pairs
+        for d, e in itertools.product(strong, repeat=2):
+            diff = tuple(y - x for x, y in zip(d, e))
+            if hom[d] == a and hom[e] == a * b + c and max(map(abs, diff)) > bound:
+                outside |= {surface.lift_pic(diff), surface.lift_pic(tuple(-x for x in diff))}
+    cached = set(surface._coh_cache)
+    in_box = {d for d in cached if max(map(abs, d)) <= bound}
+    assert in_box <= inside
+    assert cached - in_box <= outside
+    assert len(cached) <= 2 * len(strong) + len(outside)
+    if abc is not None:
+        zero = surface.zero_divisor()
+        for pair in found:
+            abc_of(line_collection(surface, [zero] + [surface.lift_pic(v) for v in pair]))
+        assert set(surface._coh_cache) - cached <= {zero}
 
 
 @pytest.mark.parametrize(

@@ -175,6 +175,34 @@ def test_cohomology_fast_paths_match_raw_oracle(s, data):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(surfaces.filter(lambda s: s.picard_rank <= 3), st.data())
+def test_interleaved_searches_and_lookups_keep_the_cache_exact(s, data):
+    # the level sets fill the cache with triples they count uncached; lookups
+    # of Picard box vectors, which the searches also count, and of other
+    # divisors come before, between and after them
+    picard = st.lists(st.integers(-2, 2), min_size=s.picard_rank, max_size=s.picard_rank).map(s.lift_pic)
+    divisor = st.one_of(picard, divisors(s, st.integers(-4, 4)))
+    calls = st.one_of(
+        st.tuples(st.just("abc"), st.sampled_from(solve_abc(3)), st.integers(0, 2)),
+        st.tuples(st.just("kronecker"), st.integers(1, 4), st.integers(0, 2)),
+        st.tuples(st.sampled_from(("coh", "pair")), divisor),
+    )
+    for call in data.draw(st.lists(calls, min_size=1, max_size=12)):
+        if call[0] == "abc":
+            (a, b, c), bound = call[1:]
+            assert search_abc(s, a, b, c, bound) == search_abc(ToricSurface(s.rays), a, b, c, bound)
+        elif call[0] == "kronecker":
+            n, bound = call[1:]
+            assert search_kronecker(s, n, bound) == search_kronecker(ToricSurface(s.rays), n, bound)
+        elif call[0] == "coh":
+            s.cohomology(call[1])
+        else:
+            pair_hom(s, call[1])
+    for d, coh in s._coh_cache.items():
+        assert coh == raw_cohomology(s, d)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(surfaces.filter(lambda s: s.picard_rank <= 4), st.integers(0, 2))
 def test_searches_match_raw_triple_oracles(s, bound):
     coh = functools.lru_cache(maxsize=None)(lambda v: raw_cohomology(s, s.lift_pic(v)))

@@ -22,7 +22,7 @@ from quivsurf.exceptional import (
 )
 from quivsurf.linalg import ExactMatrix, Signature
 from quivsurf.quivers import ObstructionReport, Quiver, obstruction_report
-from quivsurf.toric import KClass, ToricSurface, p1xp1, projective_plane
+from quivsurf.toric import KClass, ToricSurface, p1_cohomology, p1xp1, projective_plane
 
 HOM = ((1, 0, 0), (0, 0, 0))
 
@@ -143,6 +143,9 @@ NON_INTEGER_ENTRY_POINTS = {
     "Quiver": lambda x: Quiver(2, ((0, x),)),
     "check_table_case": lambda x: check_table_case(P2, (1, x, 1), (1,), (2,)),
     "obstruction_report": lambda x: obstruction_report([[1, x], [0, 1]]),
+    "ExactMatrix rows": lambda x: ExactMatrix(x, 2, ((1, 2), (3, 4))),
+    "ExactMatrix cols": lambda x: ExactMatrix(2, x, ((1, 2), (3, 4))),
+    "p1_cohomology": p1_cohomology,
 }
 
 
