@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .linalg import ExactMatrix, det_rational
+from .linalg import _echelon
 from .quivers import Quiver, obstruction_report
 from .toric import ConsistencyError, FanError, PRESETS, ToricSurface, preset
 from .exceptional import (
@@ -123,19 +123,17 @@ def _read_quiver(data) -> Quiver:
     arrows = _ints(_field(data, "arrows", "quiver"), "quiver arrows", 2)
     if vertices > JSON_VERTEX_BOUND:
         raise InputError(f"quiver JSON is limited to {JSON_VERTEX_BOUND} vertices, got {vertices}")
-    if any(len(a) != 2 for a in arrows):
-        raise InputError("quiver arrows must be [source, target] pairs")
     return Quiver(vertices, arrows)
 
 
-def _read_gram(data) -> ExactMatrix:
-    m = ExactMatrix.from_rows(_ints(_field(data, "gram", "Gram-matrix"), "Gram matrix", 2))
-    if not m.is_square:
-        raise InputError("Gram matrix must be square")
-    det = det_rational(m)
+def _read_gram(data) -> list:
+    rows = _ints(_field(data, "gram", "Gram-matrix"), "Gram matrix", 2)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise InputError("Gram matrix must be a non-empty square")
+    det = _echelon([list(row) for row in rows])[1]
     if det not in (1, -1):
         raise InputError(f"Gram matrix must be unimodular, but its determinant is {det}")
-    return m
+    return rows
 
 
 def _read_divisor(surface: ToricSurface, data):

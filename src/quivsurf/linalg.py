@@ -95,7 +95,7 @@ class ExactMatrix(FrozenValue):
     def __init__(self, rows: int, cols: int, entries: tuple):
         rows = _as_int(rows, "matrix row count")
         cols = _as_int(cols, "matrix column count")
-        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        entries = tuple(tuple(map(Fraction, row)) for row in entries)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
         if rows < 1 or cols < 1:
@@ -104,22 +104,14 @@ class ExactMatrix(FrozenValue):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "ExactMatrix":
-        grid = [list(r) for r in rows]
+        grid = tuple(map(tuple, rows))
         if not grid:
             raise ValueError("matrix must be non-empty")
-        return cls(len(grid), len(grid[0]), tuple(tuple(r) for r in grid))
+        return cls(len(grid), len(grid[0]), grid)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -139,9 +131,10 @@ def _integer_rows(m: ExactMatrix) -> tuple:
 
 def _echelon(a: list) -> tuple:
     """Fraction-free Bareiss elimination (Math. Comp. 22, 1968) of integer
-    rows, in place: (rank, sign of the row permutation, last pivot). After
-    k pivots each entry below them is a (k+1)-minor of the input, so the
-    division by the previous pivot is exact."""
+    rows, in place: (rank, determinant). After k pivots each entry below
+    them is a (k+1)-minor of the input, so the division by the previous
+    pivot is exact; the determinant of square rows is the last pivot,
+    signed by the row swaps, when every row has a pivot, else 0."""
     rank, sign, prev = 0, 1, 1
     for col in range(len(a[0])):
         pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
@@ -157,7 +150,7 @@ def _echelon(a: list) -> tuple:
             row[col + 1:] = [(p * x - f * t) // prev for x, t in zip(row[col + 1:], top[col + 1:])]
         prev = p
         rank += 1
-    return rank, sign, prev
+    return rank, sign * prev if rank == len(a) else 0
 
 
 def rank_rational(m: ExactMatrix) -> int:
@@ -166,13 +159,12 @@ def rank_rational(m: ExactMatrix) -> int:
 
 
 def det_rational(m: ExactMatrix) -> Fraction:
-    """Determinant as a Fraction: the signed last Bareiss pivot of the
-    scaled integer rows at full rank (else 0), over scale ** rows."""
+    """Determinant as a Fraction: that of the scaled integer rows over
+    scale ** rows."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
     a, scale = _integer_rows(m)
-    rank, sign, last = _echelon(a)
-    return Fraction(sign * last if rank == m.rows else 0, scale ** m.rows)
+    return Fraction(_echelon(a)[1], scale ** m.rows)
 
 
 def signature_symmetric(m: ExactMatrix) -> Signature:
@@ -188,9 +180,9 @@ def signature_symmetric(m: ExactMatrix) -> Signature:
     """
     if not m.is_square:
         raise ValueError("signature requires a square matrix")
-    if not m.is_symmetric:
-        raise ValueError("signature requires a symmetric matrix")
     a = _integer_rows(m)[0]
+    if a != [list(col) for col in zip(*a)]:
+        raise ValueError("signature requires a symmetric matrix")
     signs = []
     while a:
         if a[0][0] == 0:

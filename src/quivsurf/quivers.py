@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -32,6 +31,15 @@ from .linalg import (
 SUBQUIVER_BOUND = 15
 
 
+def _arrow(arrow) -> tuple:
+    """arrow as a (source, target) pair of ints, else ValueError naming it."""
+    try:
+        s, t = arrow
+    except (TypeError, ValueError):
+        raise ValueError(f"arrow {arrow!r} is not a (source, target) pair") from None
+    return _as_ints((s, t), "arrow endpoint")
+
+
 class Quiver(FrozenValue):
     """Finite acyclic directed multigraph; parallel arrows are allowed."""
 
@@ -39,7 +47,7 @@ class Quiver(FrozenValue):
 
     def __init__(self, vertices: int, arrows: tuple):
         vertices = _as_int(vertices, "quiver vertex count", 1)
-        arrows = tuple(_as_ints(arrow, "arrow endpoint") for arrow in arrows)
+        arrows = tuple(map(_arrow, arrows))
         for s, t in arrows:
             if not (0 <= s < vertices and 0 <= t < vertices):
                 raise ValueError(f"arrow ({s},{t}) out of range for {vertices} vertices")
@@ -108,27 +116,25 @@ def paths_matrix(q: Quiver) -> list:
     return rows
 
 
-def _with_transpose(e: ExactMatrix, op, name: str) -> ExactMatrix:
-    """op(E, E^t) entrywise, in one pass over the rows and columns of E, on
-    the scaled integer entries: op is linear, so dividing by the scale last
-    gives the same Fractions."""
+def _with_transpose(rows, op) -> list:
+    """op(E, E^t) entrywise, in one pass over the rows and columns of E."""
+    return [[op(a, b) for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+
+
+def _chi(e: ExactMatrix, op, name: str) -> ExactMatrix:
     if not e.is_square:
         raise ValueError(f"{name} requires a square matrix")
-    m, scale = _integer_rows(e)
-    rows = [[op(a, b) for a, b in zip(row, col)] for row, col in zip(m, zip(*m))]
-    if scale != 1:
-        rows = [[Fraction(x, scale) for x in row] for row in rows]
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix.from_rows(_with_transpose(e.entries, op))
 
 
 def chi_minus(e: ExactMatrix) -> ExactMatrix:
     """Antisymmetrised form E - E^t."""
-    return _with_transpose(e, operator.sub, "chi_minus")
+    return _chi(e, operator.sub, "chi_minus")
 
 
 def chi_plus(e: ExactMatrix) -> ExactMatrix:
     """Symmetrised form E + E^t."""
-    return _with_transpose(e, operator.add, "chi_plus")
+    return _chi(e, operator.add, "chi_plus")
 
 
 class ObstructionReport(NamedTuple):
@@ -161,7 +167,7 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
             f"full-subquiver search is limited to {SUBQUIVER_BOUND} vertices "
             f"(quiver has {q.vertices})"
         )
-    m = chi_minus(euler_matrix_simples(q)).entries
+    m = _with_transpose(_integer_rows(euler_matrix_simples(q))[0], operator.sub)
     for subset in itertools.combinations(range(q.vertices), 4):
         if rank_rational(ExactMatrix.from_rows([[m[i][j] for j in subset] for i in subset])) > 2:
             return subset
@@ -173,26 +179,30 @@ def obstruction_report(source) -> ObstructionReport:
 
     Matrix input is taken as the Euler form in some exceptional basis; the
     verdicts are congruence invariants so any basis gives the same answer.
-    The forbidden-subquiver witness is only searched for quiver input of
-    at most SUBQUIVER_BOUND vertices; larger failing quivers report None.
+    The Euler form is read once as integer rows (an ExactMatrix times the
+    positive lcm of its denominators, which keeps rank and inertia), and
+    chi^- and chi^+ are built on ints. The witness is only searched for
+    quiver input of at most SUBQUIVER_BOUND vertices.
     """
-    quiver = None
     if isinstance(source, Quiver):
-        quiver = source
-        e = euler_matrix_simples(source)
+        e = _integer_rows(euler_matrix_simples(source))[0]
     elif isinstance(source, ExactMatrix):
-        e = source
+        e = _integer_rows(source)[0]
     else:
-        e = ExactMatrix.from_rows(_as_ints(row, "Gram entry") for row in source)
-    if not e.is_square:
+        e = [_as_ints(row, "Gram entry") for row in source]
+        if e and any(len(row) != len(e[0]) for row in e):
+            raise ValueError("entry grid does not match declared shape")
+        if not e or not e[0]:
+            raise ValueError("matrix must be non-empty")
+    if len(e) != len(e[0]):
         raise ValueError("Euler form must be square")
-    rank_cm = rank_rational(chi_minus(e))
-    sig = signature_symmetric(chi_plus(e))
+    rank_cm = rank_rational(ExactMatrix.from_rows(_with_transpose(e, operator.sub)))
+    sig = signature_symmetric(ExactMatrix.from_rows(_with_transpose(e, operator.add)))
     passes_rank = rank_cm <= 2
     passes_signature = sig.n_minus <= 2
     witness = None
-    if quiver is not None and not passes_rank and quiver.vertices <= SUBQUIVER_BOUND:
-        witness = forbidden_full_subquiver(quiver)
+    if isinstance(source, Quiver) and not passes_rank and source.vertices <= SUBQUIVER_BOUND:
+        witness = forbidden_full_subquiver(source)
     return ObstructionReport(rank_cm, sig, passes_rank, passes_signature, witness)
 
 

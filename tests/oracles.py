@@ -116,7 +116,7 @@ def signature_fraction(m: ExactMatrix) -> Signature:
     row operation with the same column operation; a zero diagonal entry
     with a nonzero partner is repaired by adding (or subtracting) the
     partner row and column."""
-    assert m.is_symmetric
+    assert m.entries == tuple(zip(*m.entries))
     n = m.rows
     a = [list(row) for row in m.entries]
     for i in range(n):

@@ -535,7 +535,8 @@ def test_quiver_json_roundtrip(tmp_path, capsys):
     for bad, message in (
         ({"vertices": 2}, "'arrows'"),
         ({"vertices": 2, "arrows": [[0, 1], [1, 0]]}, "cycle"),
-        ({"vertices": 3, "arrows": [[0, 1, 2]]}, "error: "),
+        ({"vertices": 3, "arrows": [[0, 1, 2]]}, "error: arrow [0, 1, 2] is not a (source, target) pair"),
+        ({"vertices": 3, "arrows": [[0]]}, "error: arrow [0] is not a (source, target) pair"),
     ):
         assert_input_error(capsys, "obstruct", write_json(tmp_path, "bad.json", bad), message=message)
 
@@ -546,6 +547,8 @@ def test_gram_json(tmp_path, capsys):
         assert_obstruct_reads(capsys, path, ExactMatrix.from_rows(rows))
     for rows, message in (
         ([[1, 2, 3], [0, 1, 0]], "square"),
+        ([], "Gram matrix must be a non-empty square"),
+        ([[1, 2], [3]], "Gram matrix must be a non-empty square"),
         ([[2, 0], [0, 5]], "unimodular, but its determinant is 10"),
         ([[1, 2], [2, 4]], "unimodular, but its determinant is 0"),
     ):

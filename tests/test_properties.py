@@ -2,18 +2,22 @@
 random quivers: the integer toric formulas against their Fraction oracles,
 the cached cohomology and the `pair_hom` searches against raw triples, the
 level-set searches against the box loops they replace and `search_paths`
-against a scan over every tuple of box vectors, and the four-vertex witness
-scan against the scan over every subset size."""
+against a scan over every tuple of box vectors, the obstruction report on
+every form of an Euler matrix against the Fraction rank and the
+characteristic-polynomial signature, and the four-vertex witness scan
+against the scan over every subset size."""
 
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivsurf.exceptional import pair_hom, search_abc, search_kronecker, search_paths, solve_abc
-from quivsurf.quivers import forbidden_full_subquiver, obstruction_report
+from quivsurf.linalg import ExactMatrix
+from quivsurf.quivers import euler_matrix_simples, forbidden_full_subquiver, obstruction_report
 from quivsurf.toric import ConsistencyError, KClass, ToricSurface, random_blowup_surface
 
 from oracles import (
@@ -22,6 +26,7 @@ from oracles import (
     h0_fraction_box,
     intersect_by_table,
     random_acyclic_quiver,
+    rank_fraction,
     rank_one_bipartite_quiver,
     raw_cohomology,
     rr_chi_by_intersect,
@@ -30,7 +35,9 @@ from oracles import (
     search_kronecker_by_box_loop,
     search_kronecker_by_triples,
     search_paths_by_tuple_scan,
+    signature_by_charpoly,
     strong_pair_hom,
+    transpose,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -242,6 +249,25 @@ def test_search_paths_matches_tuple_scan(s, bound, n, data):
     found = search_paths(s, homs, bound)
     assert tuple(ds[1:]) in found
     assert found == search_paths_by_tuple_scan(coh, rho, homs, bound)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(2, 12))
+def test_obstruction_report_reads_every_euler_form_alike(seed, k):
+    # the quiver, its Euler ExactMatrix, that matrix's integer rows and the
+    # ExactMatrix of E / k, whose denominators the report has to clear
+    q = random_acyclic_quiver(random.Random(seed), 9)
+    e = euler_matrix_simples(q)
+    rows = [[int(x) for x in row] for row in e.entries]
+    pairs = [list(zip(row, col)) for row, col in zip(rows, transpose(rows))]
+    rank = rank_fraction(ExactMatrix.from_rows([[x - y for x, y in row] for row in pairs]))
+    sig = signature_by_charpoly(ExactMatrix.from_rows([[x + y for x, y in row] for row in pairs]))
+    scaled = ExactMatrix.from_rows([[Fraction(x, k) for x in row] for row in rows])
+    for source in (q, e, rows, scaled):
+        report = obstruction_report(source)
+        assert report[:4] == (rank, sig, rank <= 2, sig.n_minus <= 2)
+        if source is not q:
+            assert report.forbidden_witness is None
 
 
 @PROPERTY

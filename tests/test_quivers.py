@@ -153,6 +153,22 @@ def test_obstruction_e8_rank():
     assert obstruction_report(dynkin_e(8)).rank_chi_minus == 8
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "matrix must be non-empty"),
+        ([[]], "matrix must be non-empty"),
+        ([[1, 2], [3]], "entry grid does not match declared shape"),
+        ([[1, 2, 3], [0, 1, 2]], "Euler form must be square"),
+        ([[1, 0.5], [0, 1]], "Gram entry 0.5 is not an integer"),
+    ],
+)
+def test_obstruction_rejects_malformed_gram_rows(rows, message):
+    with pytest.raises(ValueError) as info:
+        obstruction_report(rows)
+    assert str(info.value) == message
+
+
 def test_obstruction_accepts_matrix_input():
     gram = [[1, 2], [0, 1]]
     report = obstruction_report(ExactMatrix.from_rows(gram))

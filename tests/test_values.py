@@ -104,6 +104,10 @@ def test_kclass_subtraction_rejects_mismatched_c1():
         (lambda: Quiver(2, ((0, 2),)), "arrow (0,2) out of range for 2 vertices"),
         (lambda: Quiver(2, ((1, 1),)), "loop at vertex 1: quiver must be acyclic"),
         (lambda: Quiver(3, ((0, 1), (1, 2), (2, 0))), "quiver has an oriented cycle"),
+        (lambda: Quiver(3, ((0, 1, 2),)), "arrow (0, 1, 2) is not a (source, target) pair"),
+        (lambda: Quiver(3, ((0, 1), (2,))), "arrow (2,) is not a (source, target) pair"),
+        (lambda: Quiver(3, (5,)), "arrow 5 is not a (source, target) pair"),
+        (lambda: Quiver(3, ([0, 1.5],)), "arrow endpoint 1.5 is not an integer"),
         (lambda: ExactMatrix(2, 2, ((1, 2),)), "entry grid does not match declared shape"),
         (lambda: ExactMatrix(0, 0, ()), "matrix must be non-empty"),
         (lambda: Collection(projective_plane(), ()), "collection must be non-empty"),
