@@ -9,10 +9,13 @@ including JSON numbers that are not plain integers, negative bounds,
 negative search arrow counts, a divisor given to toric knum, an input
 file that cannot be read (a directory, say), obstruct input with both
 a quiver and a Gram matrix, quiver JSON with more than
-cli.JSON_VERTEX_BOUND = 100 vertices, solve-abc --max above
-cli.SOLVE_ABC_BOUND = 10000, search --bound above cli.SEARCH_BOUND_MAX = 8
-or a search box of more than cli.SEARCH_BOX_BOUND = 10000 Picard vectors,
-and reproduce --m-max above cli.REPRODUCE_M_MAX_BOUND = 40;
+cli.JSON_VERTEX_BOUND = 100 vertices, fan JSON with more than
+cli.FAN_RAY_BOUND = 100 rays, a toric coh divisor whose lattice counts
+of D and K - D would test more than cli.COH_BOX_BOUND = 500000 box
+points, solve-abc --max above cli.SOLVE_ABC_BOUND = 10000, search --bound
+above cli.SEARCH_BOUND_MAX = 8 or a search box of more than
+cli.SEARCH_BOX_BOUND = 10000 Picard vectors, and reproduce --m-max above
+cli.REPRODUCE_M_MAX_BOUND = 40;
 3 an internal error (a failed exact identity, or input nested too deeply
 to read), reported as one line on stderr and never as a verdict.
 The search limits cap the box and its coefficients, not the fan: each
@@ -62,6 +65,14 @@ class InputError(Exception):
 # Largest quiver read from JSON: a vertex count is a few bytes of input but
 # costs an n x n exact Euler form. The Quiver constructor itself is unbounded.
 JSON_VERTEX_BOUND = 100
+# Most rays in fan JSON: toric knum took 0.26 s on 100 rays and 1.3 s on
+# 200 (blow-ups of P1xP1), about 8x per doubling of the ray count.
+FAN_RAY_BOUND = 100
+# Most box points that toric coh may test over the lattice counts of D and
+# K - D: P2 with D = (N, 0, 0) tests (N + 1)^2, 491,401 at N = 700 in
+# 0.6-1.1 s and 1,002,001 at N = 1000 in 1.3-2.2 s. Each point costs more
+# on a fan with more rays.
+COH_BOX_BOUND = 500000
 # Largest solve-abc --max: the report lists about 4 * max triples.
 SOLVE_ABC_BOUND = 10000
 # Most Picard vectors in a search box (2 * bound + 1)^rho: 6,561 on dP6
@@ -115,6 +126,8 @@ def _ints(value, what: str, depth: int = 1):
 
 def _read_fan(data) -> ToricSurface:
     rays = _ints(_field(data, "rays", "fan"), "fan rays", 2)
+    if len(rays) > FAN_RAY_BOUND:
+        raise InputError(f"fan JSON is limited to {FAN_RAY_BOUND} rays, got {len(rays)}")
     return ToricSurface(rays)
 
 
@@ -223,7 +236,14 @@ def cmd_toric(args) -> int:
             raw_divisor = json.loads(args.divisor)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid divisor JSON: {exc}")
-        divisor = _read_divisor(surface, raw_divisor)
+        divisor = surface._check_divisor(_read_divisor(surface, raw_divisor))
+        boxes = (surface._section_box(d) for d in (divisor, tuple(-1 - c for c in divisor)))
+        points = sum(len(xs) * len(ys) for xs, ys in boxes)
+        if points > COH_BOX_BOUND:
+            raise InputError(
+                f"toric coh would test {points} box points for D and K - D; "
+                f"the limit is {COH_BOX_BOUND}"
+            )
         coh = surface.cohomology(divisor)
         payload = {
             "rays": [list(r) for r in surface.rays],

@@ -21,7 +21,6 @@ from .linalg import (
     Signature,
     _as_int,
     _as_ints,
-    _integer_rows,
     rank_rational,
     signature_symmetric,
 )
@@ -75,12 +74,6 @@ class Quiver(FrozenValue):
             ready.sort()
         return tuple(order) if len(order) == self.vertices else None
 
-    def arrow_counts(self) -> list:
-        a = [[0] * self.vertices for _ in range(self.vertices)]
-        for s, t in self.arrows:
-            a[s][t] += 1
-        return a
-
     def is_sink(self, v: int) -> bool:
         return all(s != v for s, _ in self.arrows)
 
@@ -88,13 +81,14 @@ class Quiver(FrozenValue):
         return all(t != v for _, t in self.arrows)
 
 
-def euler_matrix_simples(q: Quiver) -> ExactMatrix:
-    """Euler form in the basis of simple modules: E = I - A."""
-    a = q.arrow_counts()
+def euler_matrix_simples(q: Quiver) -> list:
+    """Euler form in the basis of simple modules, E = I - A, as rows of
+    ints: each arrow s -> t takes one from entry (s, t)."""
     n = q.vertices
-    return ExactMatrix.from_rows(
-        [[(1 if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
-    )
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    for s, t in q.arrows:
+        e[s][t] -= 1
+    return e
 
 
 def paths_matrix(q: Quiver) -> list:
@@ -116,24 +110,20 @@ def paths_matrix(q: Quiver) -> list:
     return rows
 
 
-def _with_transpose(rows, op) -> list:
+def _chi(e: Sequence[Sequence], op, name: str) -> list:
     """op(E, E^t) entrywise, in one pass over the rows and columns of E."""
-    return [[op(a, b) for a, b in zip(row, col)] for row, col in zip(rows, zip(*rows))]
-
-
-def _chi(e: ExactMatrix, op, name: str) -> ExactMatrix:
-    if not e.is_square:
+    if any(len(row) != len(e) for row in e):
         raise ValueError(f"{name} requires a square matrix")
-    return ExactMatrix.from_rows(_with_transpose(e.entries, op))
+    return [[op(a, b) for a, b in zip(row, col)] for row, col in zip(e, zip(*e))]
 
 
-def chi_minus(e: ExactMatrix) -> ExactMatrix:
-    """Antisymmetrised form E - E^t."""
+def chi_minus(e: Sequence[Sequence]) -> list:
+    """Antisymmetrised form E - E^t of square rows, as rows."""
     return _chi(e, operator.sub, "chi_minus")
 
 
-def chi_plus(e: ExactMatrix) -> ExactMatrix:
-    """Symmetrised form E + E^t."""
+def chi_plus(e: Sequence[Sequence]) -> list:
+    """Symmetrised form E + E^t of square rows, as rows."""
     return _chi(e, operator.add, "chi_plus")
 
 
@@ -167,7 +157,7 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
             f"full-subquiver search is limited to {SUBQUIVER_BOUND} vertices "
             f"(quiver has {q.vertices})"
         )
-    m = _with_transpose(_integer_rows(euler_matrix_simples(q))[0], operator.sub)
+    m = chi_minus(euler_matrix_simples(q))
     for subset in itertools.combinations(range(q.vertices), 4):
         if rank_rational(ExactMatrix.from_rows([[m[i][j] for j in subset] for i in subset])) > 2:
             return subset
@@ -175,29 +165,26 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
 
 
 def obstruction_report(source) -> ObstructionReport:
-    """Run both obstructions on a quiver or on a raw square Gram matrix.
+    """Run both obstructions on a Quiver or on square integer Gram rows.
 
-    Matrix input is taken as the Euler form in some exceptional basis; the
-    verdicts are congruence invariants so any basis gives the same answer.
-    The Euler form is read once as integer rows (an ExactMatrix times the
-    positive lcm of its denominators, which keeps rank and inertia), and
-    chi^- and chi^+ are built on ints. The witness is only searched for
-    quiver input of at most SUBQUIVER_BOUND vertices.
+    Gram rows, checked entry by entry, are taken as the Euler form in some
+    exceptional basis; the verdicts are congruence invariants so any basis
+    gives the same answer. chi^- and chi^+ are built on ints by chi_minus
+    and chi_plus. The witness is only searched for quiver input of at most
+    SUBQUIVER_BOUND vertices.
     """
     if isinstance(source, Quiver):
-        e = _integer_rows(euler_matrix_simples(source))[0]
-    elif isinstance(source, ExactMatrix):
-        e = _integer_rows(source)[0]
+        e = euler_matrix_simples(source)
     else:
         e = [_as_ints(row, "Gram entry") for row in source]
         if e and any(len(row) != len(e[0]) for row in e):
             raise ValueError("entry grid does not match declared shape")
         if not e or not e[0]:
             raise ValueError("matrix must be non-empty")
-    if len(e) != len(e[0]):
-        raise ValueError("Euler form must be square")
-    rank_cm = rank_rational(ExactMatrix.from_rows(_with_transpose(e, operator.sub)))
-    sig = signature_symmetric(ExactMatrix.from_rows(_with_transpose(e, operator.add)))
+        if len(e) != len(e[0]):
+            raise ValueError("Euler form must be square")
+    rank_cm = rank_rational(ExactMatrix.from_rows(chi_minus(e)))
+    sig = signature_symmetric(ExactMatrix.from_rows(chi_plus(e)))
     passes_rank = rank_cm <= 2
     passes_signature = sig.n_minus <= 2
     witness = None

@@ -224,8 +224,10 @@ class ToricSurface:
 
     # --- cohomology -------------------------------------------------------------
 
-    def h0_lattice_points(self, d: Sequence[int]) -> int:
-        """Global sections = lattice points of {m : <m, v_i> >= -d_i for all i}.
+    def _section_box(self, d: tuple) -> tuple:
+        """(x range, y range) of the integer bounding box that holds every
+        lattice point of the section polytope {m : <m, v_i> >= -d_i} of a
+        checked divisor; both ranges are empty when it has no sections.
 
         Adjacent rays v_i = (a, b), v_{i+1} = (c, e) have determinant +1, so
         their boundary lines meet in the integer cone vertex
@@ -234,19 +236,26 @@ class ToricSurface:
         cones cover the plane, so the polytope lies in the convex hull of the
         m_i and enumerating their bounding box is exhaustive.
         """
-        d = self._check_divisor(d)
         if max(d) <= 0 and min(d) < 0:
             # The rays satisfy a relation sum c_i v_i = 0 with every c_i > 0,
             # so <m, v_i> >= -d_i >= 0, strictly for some i, has no solution.
-            return 0
+            return range(0), range(0)
         rays = self.rays
         xs, ys = [], []
         for (a, b), (c, e), di, dj in zip(rays, rays[1:] + rays[:1], d, d[1:] + d[:1]):
             xs.append(b * dj - e * di)
             ys.append(c * di - a * dj)
+        return range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)
+
+    def h0_lattice_points(self, d: Sequence[int]) -> int:
+        """Global sections = lattice points of {m : <m, v_i> >= -d_i for all
+        i}, counted over the box of _section_box."""
+        d = self._check_divisor(d)
+        xs, ys = self._section_box(d)
+        rays = self.rays
         count = 0
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
+        for x in xs:
+            for y in ys:
                 if all(x * v[0] + y * v[1] >= -di for v, di in zip(rays, d)):
                     count += 1
         return count

@@ -248,13 +248,13 @@ def forbidden_subquiver_all_sizes(quiver):
     """Smallest, then lexicographically first, vertex subset whose full
     subquiver has rank(chi^-) > 2, scanning subsets of every size and
     building each subquiver."""
-    from quivsurf.linalg import rank_rational
+    from quivsurf.linalg import ExactMatrix, rank_rational
     from quivsurf.quivers import chi_minus, euler_matrix_simples
 
     for size in range(4, quiver.vertices + 1):
         for subset in itertools.combinations(range(quiver.vertices), size):
             sub = induced_subquiver(quiver, subset)
-            if rank_rational(chi_minus(euler_matrix_simples(sub))) > 2:
+            if rank_rational(ExactMatrix.from_rows(chi_minus(euler_matrix_simples(sub)))) > 2:
                 return subset
     return None
 

@@ -9,7 +9,6 @@ import pytest
 
 from quivsurf import cli
 from quivsurf.cli import main
-from quivsurf.linalg import ExactMatrix
 from quivsurf.quivers import Quiver, obstruction_report
 from quivsurf.toric import PRESETS, ConsistencyError, ToricSurface, blowup_p2, preset
 
@@ -417,6 +416,46 @@ def test_obstruct_limits_quiver_json_vertices(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["rank_chi_minus"] == 2
 
 
+def blown_up_fan(n_rays):
+    """A smooth fan of n_rays rays from P1xP1 by blow-ups at spread walls."""
+    s, wall = preset("P1xP1"), 0
+    while s.n_rays < n_rays:
+        s, wall = s.blow_up(wall % s.n_rays), wall + 3
+    return {"rays": [list(r) for r in s.rays]}
+
+
+def test_fan_json_limits_rays(tmp_path, capsys):
+    big = write_json(tmp_path, "big.json", blown_up_fan(cli.FAN_RAY_BOUND + 1))
+    collection = write_json(tmp_path, "coll.json", {"fan": blown_up_fan(101), "objects": []})
+    for argv in (
+        ("toric", "knum", big),
+        ("toric", "coh", big, "-d", json.dumps([0] * 101)),
+        ("search", big, "1", "1", "0"),
+        ("verify", collection),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: fan JSON is limited to 100 rays, got 101\n"
+    edge = write_json(tmp_path, "edge.json", blown_up_fan(100))
+    code, out, _ = run_cli(capsys, "toric", "coh", edge, "-d", json.dumps([0] * 100))
+    assert code == 0 and json.loads(out)["result"]["h"] == [1, 0, 0]
+
+
+def test_toric_coh_limits_the_lattice_boxes(capsys, monkeypatch):
+    # P2 with D = (N, 0, 0) scans a box of (N + 1)^2 points; K - D has no
+    # sections and scans none
+    for n, points in ((100000, 10000200001), (707, 501264)):
+        code, out, err = run_cli(capsys, "toric", "coh", "P2", "-d", f"[{n}, 0, 0]")
+        assert (code, out) == (2, "")
+        assert err == f"error: toric coh would test {points} box points for D and K - D; the limit is 500000\n"
+    # on P1xP1, D = (1, 0, -3, 0) and K - D = (-2, -1, 2, -1) scan 3 points each
+    monkeypatch.setattr(cli, "COH_BOX_BOUND", 6)
+    code, out, _ = run_cli(capsys, "toric", "coh", "P1xP1", "-d", "[1, 0, -3, 0]")
+    assert code == 0 and json.loads(out)["result"]["h"] == [0, 1, 0]
+    monkeypatch.setattr(cli, "COH_BOX_BOUND", 5)
+    assert_input_error(capsys, "toric", "coh", "P1xP1", "-d", "[1, 0, -3, 0]", message="test 6 box points")
+
+
 def test_unreadable_input_is_an_input_error(tmp_path, capsys):
     for argv in (
         ("obstruct", str(tmp_path)),
@@ -544,7 +583,7 @@ def test_quiver_json_roundtrip(tmp_path, capsys):
 def test_gram_json(tmp_path, capsys):
     for rows in ([[1, 2], [0, 1]], [[0, 1], [1, 0]]):
         path = write_json(tmp_path, "gram.json", {"gram": rows})
-        assert_obstruct_reads(capsys, path, ExactMatrix.from_rows(rows))
+        assert_obstruct_reads(capsys, path, rows)
     for rows, message in (
         ([[1, 2, 3], [0, 1, 0]], "square"),
         ([], "Gram matrix must be a non-empty square"),

@@ -3,14 +3,13 @@ random quivers: the integer toric formulas against their Fraction oracles,
 the cached cohomology and the `pair_hom` searches against raw triples, the
 level-set searches against the box loops they replace and `search_paths`
 against a scan over every tuple of box vectors, the obstruction report on
-every form of an Euler matrix against the Fraction rank and the
+both inputs of an Euler form against the Fraction rank and the
 characteristic-polynomial signature, and the four-vertex witness scan
 against the scan over every subset size."""
 
 import functools
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,18 +251,15 @@ def test_search_paths_matches_tuple_scan(s, bound, n, data):
 
 
 @PROPERTY
-@given(st.integers(0, 2**32), st.integers(2, 12))
-def test_obstruction_report_reads_every_euler_form_alike(seed, k):
-    # the quiver, its Euler ExactMatrix, that matrix's integer rows and the
-    # ExactMatrix of E / k, whose denominators the report has to clear
+@given(st.integers(0, 2**32))
+def test_obstruction_report_reads_every_euler_form_alike(seed):
+    # the quiver, its Euler rows and those rows as tuples
     q = random_acyclic_quiver(random.Random(seed), 9)
-    e = euler_matrix_simples(q)
-    rows = [[int(x) for x in row] for row in e.entries]
+    rows = euler_matrix_simples(q)
     pairs = [list(zip(row, col)) for row, col in zip(rows, transpose(rows))]
     rank = rank_fraction(ExactMatrix.from_rows([[x - y for x, y in row] for row in pairs]))
     sig = signature_by_charpoly(ExactMatrix.from_rows([[x + y for x, y in row] for row in pairs]))
-    scaled = ExactMatrix.from_rows([[Fraction(x, k) for x in row] for row in rows])
-    for source in (q, e, rows, scaled):
+    for source in (q, rows, tuple(map(tuple, rows))):
         report = obstruction_report(source)
         assert report[:4] == (rank, sig, rank <= 2, sig.n_minus <= 2)
         if source is not q:

@@ -48,16 +48,24 @@ def test_rejects_cycles_and_loops():
 
 
 def test_euler_matrix_a2():
-    assert euler_matrix_simples(linear_quiver(2)).entries == ((1, -1), (0, 1))
+    assert euler_matrix_simples(linear_quiver(2)) == [[1, -1], [0, 1]]
 
 
 def test_euler_matrix_kronecker():
-    assert euler_matrix_simples(kronecker(4)).entries == ((1, -4), (0, 1))
+    assert euler_matrix_simples(kronecker(4)) == [[1, -4], [0, 1]]
 
 
 def test_euler_matrix_three_vertex():
     e = euler_matrix_simples(three_vertex(2, 3, 1))
-    assert e.entries == ((1, -2, -1), (0, 1, -3), (0, 0, 1))
+    assert e == [[1, -2, -1], [0, 1, -3], [0, 0, 1]]
+
+
+def test_euler_and_chi_forms_are_lists_of_int_rows():
+    e = euler_matrix_simples(three_vertex(2, 3, 1))
+    gram = ((1, 2), (0, 1))
+    for rows in (e, chi_minus(e), chi_plus(e), chi_minus(gram), chi_plus(gram)):
+        assert type(rows) is list
+        assert all(type(row) is list and all(type(x) is int for x in row) for row in rows)
 
 
 def test_euler_matrix_upper_triangular_in_topological_order():
@@ -65,7 +73,7 @@ def test_euler_matrix_upper_triangular_in_topological_order():
     for _ in range(40):
         q = random_acyclic_quiver(rng)
         order = q.topological_order()
-        e = euler_matrix_simples(q).entries
+        e = euler_matrix_simples(q)
         for i in range(q.vertices):
             for j in range(i):
                 assert e[order[i]][order[j]] == 0
@@ -90,17 +98,17 @@ def test_paths_matrix_inverts_euler_matrix_and_matches_dfs():
     quivers += [Quiver(n, ()) for n in (1, 4)] + [linear_quiver(3), kronecker(3)]
     for q in quivers:
         p = paths_matrix(q)
-        assert matmul(p, euler_matrix_simples(q).entries) == identity(q.vertices)
+        assert matmul(p, euler_matrix_simples(q)) == identity(q.vertices)
         assert p == dfs_path_counts(q)
 
 
 def test_chi_decomposition():
-    eye = ExactMatrix.from_rows(identity(3))
-    assert chi_minus(eye) == ExactMatrix.from_rows([[0] * 3] * 3)
-    assert chi_plus(eye) == ExactMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    eye = identity(3)
+    assert chi_minus(eye) == [[0] * 3] * 3
+    assert chi_plus(eye) == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
     e = euler_matrix_simples(linear_quiver(2))
-    assert chi_minus(e).entries == ((0, -1), (1, 0))
-    assert chi_plus(e).entries == ((2, -1), (-1, 2))
+    assert chi_minus(e) == [[0, -1], [1, 0]]
+    assert chi_plus(e) == [[2, -1], [-1, 2]]
 
 
 square_fraction_rows = st.integers(1, 6).flatmap(
@@ -115,14 +123,13 @@ square_fraction_rows = st.integers(1, 6).flatmap(
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(square_fraction_rows)
 def test_chi_forms_match_transpose_arithmetic(rows):
-    e = ExactMatrix.from_rows(rows)
     pairs = [list(zip(row, col)) for row, col in zip(rows, transpose(rows))]
-    assert chi_minus(e) == ExactMatrix.from_rows([[x - y for x, y in row] for row in pairs])
-    assert chi_plus(e) == ExactMatrix.from_rows([[x + y for x, y in row] for row in pairs])
+    assert chi_minus(rows) == [[x - y for x, y in row] for row in pairs]
+    assert chi_plus(rows) == [[x + y for x, y in row] for row in pairs]
 
 
-def test_chi_forms_reject_non_square_matrices():
-    e = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+@pytest.mark.parametrize("e", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]]])
+def test_chi_forms_reject_non_square_matrices(e):
     with pytest.raises(ValueError, match="chi_minus requires a square matrix"):
         chi_minus(e)
     with pytest.raises(ValueError, match="chi_plus requires a square matrix"):
@@ -133,7 +140,7 @@ def test_chi_minus_rank_is_even():
     rng = random.Random(33)
     for _ in range(60):
         q = random_acyclic_quiver(rng)
-        assert rank_rational(chi_minus(euler_matrix_simples(q))) % 2 == 0
+        assert rank_rational(ExactMatrix.from_rows(chi_minus(euler_matrix_simples(q)))) % 2 == 0
 
 
 def test_obstruction_d4_passes():
@@ -171,7 +178,7 @@ def test_obstruction_rejects_malformed_gram_rows(rows, message):
 
 def test_obstruction_accepts_matrix_input():
     gram = [[1, 2], [0, 1]]
-    report = obstruction_report(ExactMatrix.from_rows(gram))
+    report = obstruction_report(gram)
     assert report.forbidden_witness is None
     assert report.rank_chi_minus == 2
 
@@ -211,12 +218,12 @@ def test_chi_minus_principal_minor_is_induced_subquiver_chi_minus():
     quivers += [random_acyclic_quiver(rng, 7) for _ in range(30)]
     assert any(len(set(q.arrows)) < len(q.arrows) for q in quivers[2:])
     for q in quivers:
-        m = chi_minus(euler_matrix_simples(q)).entries
+        m = chi_minus(euler_matrix_simples(q))
         for size in (2, 4):
             for subset in itertools.combinations(range(q.vertices), size):
                 sub = induced_subquiver(q, subset)
                 minor = [[m[i][j] for j in subset] for i in subset]
-                assert chi_minus(euler_matrix_simples(sub)) == ExactMatrix.from_rows(minor)
+                assert chi_minus(euler_matrix_simples(sub)) == minor
     assert induced_subquiver(three_vertex(2, 1, 1), (0, 1)).arrows == ((0, 1), (0, 1))
 
 
