@@ -10,9 +10,12 @@ negative search arrow counts, a divisor given to toric knum, an input
 file that cannot be read (a directory, say), obstruct input with both
 a quiver and a Gram matrix, quiver JSON with more than
 cli.JSON_VERTEX_BOUND = 100 vertices, fan JSON with more than
-cli.FAN_RAY_BOUND = 100 rays, a toric coh divisor whose lattice counts
-of D and K - D would test more than cli.COH_BOX_BOUND = 500000 box
-points, solve-abc --max above cli.SOLVE_ABC_BOUND = 10000, search --bound
+cli.FAN_RAY_BOUND = 100 rays, a toric coh divisor or a verify
+collection whose lattice counts would test more than
+cli.LATTICE_TEST_BOUND = 2500000 ray inequalities (box points times
+rays, over D and K - D for toric coh and over every difference of two
+line bundles for verify), solve-abc --max above
+cli.SOLVE_ABC_BOUND = 10000, search --bound
 above cli.SEARCH_BOUND_MAX = 8 or a search box of more than
 cli.SEARCH_BOX_BOUND = 10000 Picard vectors, and reproduce --m-max above
 cli.REPRODUCE_M_MAX_BOUND = 40;
@@ -38,7 +41,7 @@ from pathlib import Path
 from . import __version__
 from .linalg import _echelon
 from .quivers import Quiver, obstruction_report
-from .toric import ConsistencyError, FanError, PRESETS, ToricSurface, preset
+from .toric import ConsistencyError, FanError, PRESETS, ToricSurface, preset, sub_divisors
 from .exceptional import (
     Collection,
     CurveSheaf,
@@ -68,11 +71,11 @@ JSON_VERTEX_BOUND = 100
 # Most rays in fan JSON: toric knum took 0.26 s on 100 rays and 1.3 s on
 # 200 (blow-ups of P1xP1), about 8x per doubling of the ray count.
 FAN_RAY_BOUND = 100
-# Most box points that toric coh may test over the lattice counts of D and
-# K - D: P2 with D = (N, 0, 0) tests (N + 1)^2, 491,401 at N = 700 in
-# 0.6-1.1 s and 1,002,001 at N = 1000 in 1.3-2.2 s. Each point costs more
-# on a fan with more rays.
-COH_BOX_BOUND = 500000
+# Most ray inequalities that toric coh (over D and K - D) and verify (over
+# every difference of two line bundles) may test: box points times rays.
+# P2 with D = (N, 0, 0) tests 3 (N + 1)^2, 2,495,232 at N = 911 in
+# 0.9-1.1 s and 3,006,003 at N = 1000 in 0.9-1.3 s of toric coh.
+LATTICE_TEST_BOUND = 2500000
 # Largest solve-abc --max: the report lists about 4 * max triples.
 SOLVE_ABC_BOUND = 10000
 # Most Picard vectors in a search box (2 * bound + 1)^rho: 6,561 on dP6
@@ -225,6 +228,14 @@ def cmd_obstruct(args) -> int:
     return EXIT_OK if report.passes else EXIT_VERIFY_FAILED
 
 
+def _limit_lattice_tests(command: str, what: str, tests: int) -> None:
+    if tests > LATTICE_TEST_BOUND:
+        raise InputError(
+            f"{command} would test {tests} lattice inequalities for {what}; "
+            f"the limit is {LATTICE_TEST_BOUND}"
+        )
+
+
 def cmd_toric(args) -> int:
     if args.subcommand == "knum" and args.divisor is not None:
         raise InputError("toric knum takes no divisor (-d)")
@@ -237,13 +248,7 @@ def cmd_toric(args) -> int:
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid divisor JSON: {exc}")
         divisor = surface._check_divisor(_read_divisor(surface, raw_divisor))
-        boxes = (surface._section_box(d) for d in (divisor, tuple(-1 - c for c in divisor)))
-        points = sum(len(xs) * len(ys) for xs, ys in boxes)
-        if points > COH_BOX_BOUND:
-            raise InputError(
-                f"toric coh would test {points} box points for D and K - D; "
-                f"the limit is {COH_BOX_BOUND}"
-            )
+        _limit_lattice_tests("toric coh", "D and K - D", surface._coh_lattice_tests(divisor))
         coh = surface.cohomology(divisor)
         payload = {
             "rays": [list(r) for r in surface.rays],
@@ -272,6 +277,15 @@ def cmd_toric(args) -> int:
 def cmd_verify(args) -> int:
     data = _load_json(args.input)
     collection = _read_collection(data)
+    surface = collection.surface
+    lines = [obj.divisor for obj in collection.objects if isinstance(obj, LineBundle)]
+    # ext_dims counts the cohomology of E - D for every ordered pair of line
+    # bundles, each distinct difference once through the per-surface cache;
+    # curve sheaves scan nothing
+    differences = {sub_divisors(e, d) for d in lines for e in lines}
+    _limit_lattice_tests(
+        "verify", "the line-bundle differences", sum(map(surface._coh_lattice_tests, differences))
+    )
     result = verify_collection(collection, strong=args.strong)
     payload = {
         "objects": len(collection),

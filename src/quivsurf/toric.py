@@ -247,16 +247,26 @@ class ToricSurface:
             ys.append(c * di - a * dj)
         return range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)
 
+    def _coh_lattice_tests(self, d: tuple) -> int:
+        """Most ray inequalities that the lattice counts of D and K - D in
+        _count_coh test for a checked divisor: their box points times the
+        ray count."""
+        boxes = (self._section_box(e) for e in (d, tuple(-1 - c for c in d)))
+        return len(self.rays) * sum(len(xs) * len(ys) for xs, ys in boxes)
+
     def h0_lattice_points(self, d: Sequence[int]) -> int:
         """Global sections = lattice points of {m : <m, v_i> >= -d_i for all
-        i}, counted over the box of _section_box."""
+        i}, counted over the box of _section_box. Along a column x, ray
+        (a_i, b_i) admits y when b_i y >= t_i = -d_i - a_i x, so each
+        threshold is computed once per column."""
         d = self._check_divisor(d)
         xs, ys = self._section_box(d)
-        rays = self.rays
+        terms = [(a, b, -di) for (a, b), di in zip(self.rays, d)]
         count = 0
         for x in xs:
+            thresholds = [(b, t - a * x) for a, b, t in terms]
             for y in ys:
-                if all(x * v[0] + y * v[1] >= -di for v, di in zip(rays, d)):
+                if all(b * y >= t for b, t in thresholds):
                     count += 1
         return count
 

@@ -441,19 +441,62 @@ def test_fan_json_limits_rays(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["h"] == [1, 0, 0]
 
 
-def test_toric_coh_limits_the_lattice_boxes(capsys, monkeypatch):
-    # P2 with D = (N, 0, 0) scans a box of (N + 1)^2 points; K - D has no
-    # sections and scans none
-    for n, points in ((100000, 10000200001), (707, 501264)):
+def test_toric_coh_limits_the_lattice_boxes(tmp_path, capsys, monkeypatch):
+    # P2 with D = (N, 0, 0) tests 3 rays at each of the (N + 1)^2 box points;
+    # K - D has no sections and scans none
+    for n, tests in ((100000, 30000600003), (912, 2500707)):
         code, out, err = run_cli(capsys, "toric", "coh", "P2", "-d", f"[{n}, 0, 0]")
         assert (code, out) == (2, "")
-        assert err == f"error: toric coh would test {points} box points for D and K - D; the limit is 500000\n"
-    # on P1xP1, D = (1, 0, -3, 0) and K - D = (-2, -1, 2, -1) scan 3 points each
-    monkeypatch.setattr(cli, "COH_BOX_BOUND", 6)
+        assert err == (
+            f"error: toric coh would test {tests} lattice inequalities for D and K - D; "
+            "the limit is 2500000\n"
+        )
+    # a long fan is charged for its rays: 390,726 box points with 100 rays each
+    fan = write_json(tmp_path, "fan100.json", blown_up_fan(100))
+    assert_input_error(
+        capsys, "toric", "coh", fan, "-d", json.dumps([5] * 100), message="test 39072600 lattice inequalities"
+    )
+    # on P1xP1, D = (1, 0, -3, 0) and K - D = (-2, -1, 2, -1) scan 3 points
+    # each, 4 rays at each point
+    monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 24)
     code, out, _ = run_cli(capsys, "toric", "coh", "P1xP1", "-d", "[1, 0, -3, 0]")
     assert code == 0 and json.loads(out)["result"]["h"] == [0, 1, 0]
-    monkeypatch.setattr(cli, "COH_BOX_BOUND", 5)
-    assert_input_error(capsys, "toric", "coh", "P1xP1", "-d", "[1, 0, -3, 0]", message="test 6 box points")
+    monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 23)
+    assert_input_error(
+        capsys, "toric", "coh", "P1xP1", "-d", "[1, 0, -3, 0]", message="test 24 lattice inequalities"
+    )
+
+
+def test_verify_limits_the_lattice_tests(tmp_path, capsys, monkeypatch):
+    # O and O(N) on P2: O(N) scans 3 (N + 1)^2 inequalities, O(-N) scans
+    # its K - D = (N - 1, -1, -1), and the difference 0 scans one point
+    hostile = {"fan": P2_FAN, "objects": [{"line": [0, 0, 0]}, {"line": [100000, 0, 0]}]}
+    code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "hostile.json", hostile))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: verify would test 59999400018 lattice inequalities for the line-bundle "
+        "differences; the limit is 2500000\n"
+    )
+    # (O, O(1), O(2)): each distinct difference once, 3 for 0, 12 + 0 for
+    # +-1 and 27 + 12 for +-2
+    beilinson = {"fan": P2_FAN, "objects": [{"line": [k, 0, 0]} for k in range(3)]}
+    path = write_json(tmp_path, "beilinson.json", beilinson)
+    monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 54)
+    code, out, _ = run_cli(capsys, "verify", path, "--strong")
+    assert code == 0 and json.loads(out)["result"]["ok"]
+    monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 53)
+    assert_input_error(capsys, "verify", path, message="test 54 lattice inequalities")
+    # curve sheaves scan nothing: (O, O_C0, O_C3) on dP6 tests only O - O
+    mixed = {
+        "fan": {"rays": [list(r) for r in preset("dP6").rays]},
+        "objects": [{"line": [0] * 6}, {"curve_ray": 0}, {"curve_ray": 3}],
+    }
+    path = write_json(tmp_path, "mixed.json", mixed)
+    monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 6)
+    code, _, _ = run_cli(capsys, "verify", path)
+    assert code == 0
+    monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 5)
+    assert_input_error(capsys, "verify", path, message="test 6 lattice inequalities")
 
 
 def test_unreadable_input_is_an_input_error(tmp_path, capsys):

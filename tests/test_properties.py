@@ -61,6 +61,14 @@ def test_h0_integer_box_matches_fraction_oracle(s, data):
     assert s.h0_lattice_points(d) == h0_fraction_box(s, d)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(surfaces.filter(lambda s: s.n_rays <= 6), st.data())
+def test_h0_tall_columns_match_fraction_oracle(s, data):
+    # coefficients up to 60 make columns a hundred points tall or more
+    d = data.draw(divisors(s, st.integers(-60, 60)))
+    assert s.h0_lattice_points(d) == h0_fraction_box(s, d)
+
+
 @PROPERTY
 @given(surfaces, st.data())
 def test_h0_of_negative_divisors_is_zero(s, data):

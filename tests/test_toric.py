@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -194,6 +195,44 @@ def test_cohomology_quadric_matches_kunneth():
         for b in range(-4, 5):
             got = tuple(s.cohomology(s.lift_pic((a, b))))
             assert got == kunneth_quadric(a, b), (a, b)
+
+
+# --- tall columns: the shapes of the coh_large benchmark ----------------------
+
+
+@pytest.mark.parametrize("n", (299, 301))
+def test_cohomology_of_large_plane_twists(n):
+    # h0(O(n)) = C(n + 2, 2), and h2(O(-n)) = h0(O(n - 3)) = C(n - 1, 2)
+    s = projective_plane()
+    for d in ((n, 0, 0), (0, 0, n)):
+        assert s.cohomology(d) == (math.comb(n + 2, 2), 0, 0)
+        assert s.cohomology(neg_divisor(d)) == (0, 0, math.comb(n - 1, 2))
+
+
+def test_cohomology_of_large_quadric_bidegrees():
+    s = p1xp1()
+    for a, b in ((45, 44), (46, -45), (-44, 45), (-45, -46), (43, 0)):
+        assert tuple(s.cohomology(s.lift_pic((a, b)))) == kunneth_quadric(a, b), (a, b)
+    # (45, 45, 45, 45) has bidegree (90, 90)
+    assert tuple(s.cohomology((45,) * 4)) == kunneth_quadric(90, 90)
+
+
+@pytest.mark.parametrize(
+    "name, d",
+    (
+        ("F1", (40, 45, 50, 35)),
+        ("F3", (50, 25, 60, 40)),
+        ("dP6", (40,) * 6),
+        ("dP6", (37, 42, 40, 43, 38, 41)),
+    ),
+)
+def test_cohomology_of_large_ample_divisors(name, d):
+    # D.C > 0 on every invariant curve makes D ample, so O(D) and O(-D)
+    # have cohomology only in degrees 0 and 2, of dimension chi
+    s = preset(name)
+    assert all(s.intersect(d, s.ray_divisor(i)) > 0 for i in range(s.n_rays))
+    assert s.cohomology(d) == (s.rr_chi(d), 0, 0)
+    assert s.cohomology(neg_divisor(d)) == (0, 0, s.rr_chi(neg_divisor(d)))
 
 
 def test_effective_divisors_have_sections():
