@@ -27,7 +27,6 @@ from .toric import (
     FanError,
     KClass,
     ToricSurface,
-    UnsupportedExtError,
     blowup_p2,
     hirzebruch,
     p1xp1,
@@ -71,7 +70,6 @@ __all__ = [
     "FanError",
     "KClass",
     "ToricSurface",
-    "UnsupportedExtError",
     "blowup_p2",
     "hirzebruch",
     "p1xp1",

@@ -9,8 +9,9 @@ including JSON numbers that are not plain integers, negative bounds,
 negative search arrow counts, a divisor given to toric knum, an input
 file that cannot be read (a directory, say), obstruct input with both
 a quiver and a Gram matrix, quiver JSON with more than
-cli.JSON_VERTEX_BOUND = 100 vertices, fan JSON with more than
-cli.FAN_RAY_BOUND = 100 rays, a toric coh divisor or a verify
+cli.JSON_VERTEX_BOUND = 100 vertices, Gram JSON with more than 100 rows
+or collection JSON with more than 100 objects (the same bound), fan JSON
+with more than cli.FAN_RAY_BOUND = 100 rays, a toric coh divisor or a verify
 collection whose lattice counts would test more than
 cli.LATTICE_TEST_BOUND = 2500000 ray inequalities (box points times
 rays, over D and K - D for toric coh and over every difference of two
@@ -39,7 +40,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .linalg import _echelon
+from .linalg import _echelon, _square_ints
 from .quivers import Quiver, obstruction_report
 from .toric import ConsistencyError, FanError, PRESETS, ToricSurface, preset, sub_divisors
 from .exceptional import (
@@ -65,8 +66,9 @@ class InputError(Exception):
     pass
 
 
-# Largest quiver read from JSON: a vertex count is a few bytes of input but
-# costs an n x n exact Euler form. The Quiver constructor itself is unbounded.
+# Most quiver vertices, Gram rows or collection objects read from JSON: n of
+# them are a few bytes of input but cost an n x n table (an exact Euler form,
+# an elimination, a Hom/Ext table). The library constructors are unbounded.
 JSON_VERTEX_BOUND = 100
 # Most rays in fan JSON: toric knum took 0.26 s on 100 rays and 1.3 s on
 # 200 (blow-ups of P1xP1), about 8x per doubling of the ray count.
@@ -142,10 +144,11 @@ def _read_quiver(data) -> Quiver:
     return Quiver(vertices, arrows)
 
 
-def _read_gram(data) -> list:
+def _read_gram(data) -> tuple:
     rows = _ints(_field(data, "gram", "Gram-matrix"), "Gram matrix", 2)
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise InputError("Gram matrix must be a non-empty square")
+    if len(rows) > JSON_VERTEX_BOUND:
+        raise InputError(f"Gram JSON is limited to {JSON_VERTEX_BOUND} rows, got {len(rows)}")
+    rows = _square_ints(rows, "Gram matrix")
     det = _echelon([list(row) for row in rows])[1]
     if det not in (1, -1):
         raise InputError(f"Gram matrix must be unimodular, but its determinant is {det}")
@@ -167,6 +170,8 @@ def _read_collection(data) -> Collection:
     entries = _field(data, "objects", "collection")
     if not isinstance(entries, list):
         raise InputError(f"collection 'objects' must be a list, got {entries!r}")
+    if len(entries) > JSON_VERTEX_BOUND:
+        raise InputError(f"collection JSON is limited to {JSON_VERTEX_BOUND} objects, got {len(entries)}")
     objects = []
     for entry in entries:
         if not isinstance(entry, dict) or len(entry) != 1:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .linalg import FrozenValue, _as_int, _as_ints
+from .linalg import FrozenValue, _as_int, _as_ints, _square_ints
+from .quivers import paths_matrix, star
 from .toric import (
     ConsistencyError,
     ToricSurface,
@@ -222,18 +223,11 @@ def _level_sets(surface: ToricSurface, bound: int) -> tuple:
 def _check_paths(paths: Sequence[Sequence[int]]) -> tuple:
     """paths as rows of ints: square, 1 on the diagonal, 0 below it and
     nonnegative above it."""
-    n = len(paths)
-    if n == 0:
-        raise ValueError("paths must have at least one row")
-    rows = []
-    for i, row in enumerate(paths):
-        if len(row) != n:
-            raise ValueError(f"paths must be square: row {i} has {len(row)} entries, not {n}")
-        rows.append(tuple(
+    rows = _square_ints(paths, "paths")
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
             _as_int(x, f"paths[{i}][{j}]", int(j == i), None if j > i else int(j == i))
-            for j, x in enumerate(row)
-        ))
-    return tuple(rows)
+    return rows
 
 
 def search_paths(
@@ -369,16 +363,7 @@ def verify_star_family(n: int) -> StarFamilyReport:
         s, (LineBundle(s.zero_divisor()),) + tuple(CurveSheaf(i) for i in rays)
     )
     result = verify_collection(coll, strong=True)
-    dims_ok = result.ok
-    if result.ok:
-        hub = all(result.hom[0][j] == (1, 0, 0) for j in range(1, n + 1))
-        leaves = all(
-            result.hom[i][j] == (0, 0, 0)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-        )
-        dims_ok = hub and leaves
+    dims_ok = result.ok and result.forward_hom() == paths_matrix(star(n))
     return StarFamilyReport(n, s, rays, result, dims_ok)
 
 

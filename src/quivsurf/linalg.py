@@ -53,6 +53,16 @@ def _as_int(value, what: str, least: Optional[int] = None, most: Optional[int] =
     return value
 
 
+def _square_ints(rows, what: str) -> tuple:
+    """rows as a square tuple of int rows, each converted by _as_ints: the
+    one check of every square integer matrix read as input. A non-integer
+    entry, or an empty or non-square grid, raises ValueError naming what."""
+    rows = tuple(_as_ints(row, f"{what} entry") for row in rows)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{what} must be a non-empty square")
+    return rows
+
+
 class FrozenValue:
     """Base of the validating value types: the fields are the __slots__,
     set once by the subclass __init__ through _init. Instances compare,
@@ -156,15 +166,6 @@ def _echelon(a: list) -> tuple:
 def rank_rational(m: ExactMatrix) -> int:
     """Rank over Q by fraction-free elimination of the scaled integer rows."""
     return _echelon(_integer_rows(m)[0])[0]
-
-
-def det_rational(m: ExactMatrix) -> Fraction:
-    """Determinant as a Fraction: that of the scaled integer rows over
-    scale ** rows."""
-    if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
-    a, scale = _integer_rows(m)
-    return Fraction(_echelon(a)[1], scale ** m.rows)
 
 
 def signature_symmetric(m: ExactMatrix) -> Signature:

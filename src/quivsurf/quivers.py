@@ -21,6 +21,7 @@ from .linalg import (
     Signature,
     _as_int,
     _as_ints,
+    _square_ints,
     rank_rational,
     signature_symmetric,
 )
@@ -167,7 +168,7 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
 def obstruction_report(source) -> ObstructionReport:
     """Run both obstructions on a Quiver or on square integer Gram rows.
 
-    Gram rows, checked entry by entry, are taken as the Euler form in some
+    Gram rows, checked by _square_ints, are taken as the Euler form in some
     exceptional basis; the verdicts are congruence invariants so any basis
     gives the same answer. chi^- and chi^+ are built on ints by chi_minus
     and chi_plus. The witness is only searched for quiver input of at most
@@ -176,13 +177,7 @@ def obstruction_report(source) -> ObstructionReport:
     if isinstance(source, Quiver):
         e = euler_matrix_simples(source)
     else:
-        e = [_as_ints(row, "Gram entry") for row in source]
-        if e and any(len(row) != len(e[0]) for row in e):
-            raise ValueError("entry grid does not match declared shape")
-        if not e or not e[0]:
-            raise ValueError("matrix must be non-empty")
-        if len(e) != len(e[0]):
-            raise ValueError("Euler form must be square")
+        e = _square_ints(source, "Gram matrix")
     rank_cm = rank_rational(ExactMatrix.from_rows(chi_minus(e)))
     sig = signature_symmetric(ExactMatrix.from_rows(chi_plus(e)))
     passes_rank = rank_cm <= 2

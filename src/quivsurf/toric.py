@@ -32,10 +32,6 @@ class ConsistencyError(RuntimeError):
     """An exact identity failed; this signals a bug, not bad input."""
 
 
-class UnsupportedExtError(ValueError):
-    """Ext computation requested outside the supported cases."""
-
-
 class CohDims(NamedTuple):
     """Sheaf cohomology dimensions (h0, h1, h2) of a line bundle."""
 
@@ -399,23 +395,21 @@ class ToricSurface:
         return (0, h1, h0)
 
     def ext_curve_pair(self, ray_i: int, ray_j: int) -> tuple:
-        """Ext^*(O_C, O_C') for invariant ray curves, supported when the
-        curves are equal or disjoint.
+        """Ext^*(O_C, O_C') for invariant ray curves.
 
         For C = C' the ideal-sheaf resolution gives a long exact sequence
         whose connecting maps vanish (they are multiplication by the
         defining section, which is zero on C), leaving
-        (1, h0(O_C(C)), h1(O_C(C))).
+        (1, h0(O_C(C)), h1(O_C(C))). Distinct adjacent curves meet
+        transversally in one point p: the only nonzero Ext sheaf is
+        Ext^1(O_C, O_C') = O_p, giving (0, 1, 0). Other pairs are disjoint.
         """
         n = len(self.rays)
         ray_i, ray_j = _as_int(ray_i, "ray", 0, n - 1), _as_int(ray_j, "ray", 0, n - 1)
         if ray_i == ray_j:
             return (1,) + p1_cohomology(self.self_intersections[ray_i])
         if (ray_j - ray_i) % n in (1, n - 1):
-            raise UnsupportedExtError(
-                f"invariant curves of rays {ray_i} and {ray_j} intersect; "
-                "only equal or disjoint curve pairs are supported"
-            )
+            return (0, 1, 0)
         return (0, 0, 0)
 
     # --- misc -----------------------------------------------------------------

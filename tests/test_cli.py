@@ -416,6 +416,20 @@ def test_obstruct_limits_quiver_json_vertices(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["rank_chi_minus"] == 2
 
 
+def test_obstruct_limits_gram_json_rows(tmp_path, capsys):
+    # unimodular Gram rows used to be read at any size: 300 rows took 31 s
+    def unitriangular(n):
+        return [[int(i == j) + (j == i + 1) for j in range(n)] for i in range(n)]
+
+    path = write_json(tmp_path, "big.json", {"gram": unitriangular(cli.JSON_VERTEX_BOUND + 1)})
+    code, out, err = run_cli(capsys, "obstruct", path)
+    assert (code, out) == (2, "")
+    assert err == "error: Gram JSON is limited to 100 rows, got 101\n"
+    path = write_json(tmp_path, "edge.json", {"gram": unitriangular(100)})
+    code, out, _ = run_cli(capsys, "obstruct", path)
+    assert code == 1 and json.loads(out)["result"]["rank_chi_minus"] == 100
+
+
 def blown_up_fan(n_rays):
     """A smooth fan of n_rays rays from P1xP1 by blow-ups at spread walls."""
     s, wall = preset("P1xP1"), 0
@@ -499,6 +513,18 @@ def test_verify_limits_the_lattice_tests(tmp_path, capsys, monkeypatch):
     assert_input_error(capsys, "verify", path, message="test 6 lattice inequalities")
 
 
+def test_verify_limits_collection_objects(tmp_path, capsys):
+    # n copies of O have one distinct difference, so the lattice-test bound
+    # passes them, but the Hom table has n^2 entries: 1,000 took 9.8 s
+    many = {"fan": P2_FAN, "objects": [{"line": [0, 0, 0]}] * (cli.JSON_VERTEX_BOUND + 1)}
+    code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "many.json", many))
+    assert (code, out) == (2, "")
+    assert err == "error: collection JSON is limited to 100 objects, got 101\n"
+    edge = {"fan": P2_FAN, "objects": [{"line": [0, 0, 0]}] * 100}
+    code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "edge.json", edge))
+    assert code == 1 and json.loads(out)["result"]["objects"] == 100
+
+
 def test_unreadable_input_is_an_input_error(tmp_path, capsys):
     for argv in (
         ("obstruct", str(tmp_path)),
@@ -533,6 +559,18 @@ def test_verify_reports_abc_for_a_mixed_collection(tmp_path, capsys):
     assert code == 0
     assert result["ok"] is True
     assert result["abc"] == [1, 0, 1]
+
+
+def test_verify_adjacent_curves_is_a_verdict(tmp_path, capsys):
+    # C_0 and C_1 on dP6 meet in one point: Ext^1(O_C1, O_C0) is one-dimensional
+    payload = {
+        "fan": {"rays": [list(r) for r in preset("dP6").rays]},
+        "objects": [{"curve_ray": 0}, {"curve_ray": 1}],
+    }
+    code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "adjacent.json", payload))
+    result = json.loads(out)["result"]
+    assert code == 1 and result["ok"] is False
+    assert result["failure"]["detail"] == "backward Ext(0,1) nonzero: dimensions (0, 1, 0)"
 
 
 # --- JSON readers, through the CLI --------------------------------------------

@@ -21,7 +21,6 @@ from quivsurf.quivers import (
 from quivsurf.toric import (
     ConsistencyError,
     ToricSurface,
-    UnsupportedExtError,
     add_divisors,
     blowup_p2,
     hirzebruch,
@@ -247,10 +246,7 @@ def test_counts_and_bounds_are_checked_integers(entry, bad):
 def test_scalar_range_ends_are_accepted(entry):
     call, least, most = SCALAR_ENTRY_POINTS[entry]
     for value in (least,) if most is None else (least, most):
-        try:
-            call(value)
-        except UnsupportedExtError:
-            pass  # ext_curve_pair took both indices, but any two curves of P2 meet
+        call(value)
 
 
 @pytest.mark.parametrize("call, last", [(blowup_p2, 3), (dynkin_e, 8), (affine_e, 8)])
@@ -468,8 +464,9 @@ def test_divisor_table_rejects_bad_range():
         verify_divisor_table(0)
 
 
-def test_unsupported_curve_pair_propagates():
-    s = blowup_p2(3)
-    coll = Collection(s, (CurveSheaf(0), CurveSheaf(1)))
-    with pytest.raises(UnsupportedExtError):
-        verify_collection(coll)
+def test_adjacent_curve_pair_has_ext1_both_ways():
+    coll = Collection(blowup_p2(3), (CurveSheaf(0), CurveSheaf(1)))
+    strong, weak = verify_collection(coll), verify_collection(coll, strong=False)
+    assert strong.hom == weak.hom == (((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0)))
+    assert strong.failure.describe() == "forward Ext(0,1) not concentrated in degree 0: dimensions (0, 1, 0)"
+    assert weak.failure.describe() == "backward Ext(0,1) nonzero: dimensions (0, 1, 0)"

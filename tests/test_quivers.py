@@ -163,11 +163,11 @@ def test_obstruction_e8_rank():
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ([], "matrix must be non-empty"),
-        ([[]], "matrix must be non-empty"),
-        ([[1, 2], [3]], "entry grid does not match declared shape"),
-        ([[1, 2, 3], [0, 1, 2]], "Euler form must be square"),
-        ([[1, 0.5], [0, 1]], "Gram entry 0.5 is not an integer"),
+        ([], "Gram matrix must be a non-empty square"),
+        ([[]], "Gram matrix must be a non-empty square"),
+        ([[1, 2], [3]], "Gram matrix must be a non-empty square"),
+        ([[1, 2, 3], [0, 1, 2]], "Gram matrix must be a non-empty square"),
+        ([[1, 0.5], [0, 1]], "Gram matrix entry 0.5 is not an integer"),
     ],
 )
 def test_obstruction_rejects_malformed_gram_rows(rows, message):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,6 @@ from quivsurf.toric import (
     FanError,
     KClass,
     ToricSurface,
-    UnsupportedExtError,
     add_divisors,
     blowup_p2,
     hirzebruch,
@@ -405,13 +405,14 @@ def test_ext_curve_pair_values():
     assert dp6.ext_curve_pair(0, 0) == (1, 0, 0)
     assert dp6.ext_curve_pair(0, 2) == (0, 0, 0)
     assert p1xp1().ext_curve_pair(0, 0) == (1, 1, 0)
-    with pytest.raises(UnsupportedExtError):
-        dp6.ext_curve_pair(0, 1)
+    # adjacent curves meet transversally in one point
+    assert dp6.ext_curve_pair(0, 1) == dp6.ext_curve_pair(5, 0) == (0, 1, 0)
 
 
 def test_ext_triples_match_euler_pairing():
     # alternating sums of Ext dimensions must agree with the pairing on
-    # classes, across all four object-pair shapes
+    # classes, across all four object-pair shapes and every ordered pair of
+    # curves: equal, adjacent or disjoint
     rng = random.Random(21)
     for _ in range(15):
         s = random_blowup_surface(rng)
@@ -423,8 +424,10 @@ def test_ext_triples_match_euler_pairing():
         assert lc[0] - lc[1] + lc[2] == s.euler_pairing(line, curve)
         cl = s.ext_curve_to_line(ray, a)
         assert cl[0] - cl[1] + cl[2] == s.euler_pairing(curve, line)
-        cc = s.ext_curve_pair(ray, ray)
-        assert cc[0] - cc[1] + cc[2] == s.euler_pairing(curve, curve)
+        curves = [s.kclass_curve(s.ray_divisor(i)) for i in range(s.n_rays)]
+        for i, j in itertools.product(range(s.n_rays), repeat=2):
+            cc = s.ext_curve_pair(i, j)
+            assert cc[0] - cc[1] + cc[2] == s.euler_pairing(curves[i], curves[j])
 
 
 # --- presets -----------------------------------------------------------------------
