@@ -9,21 +9,18 @@ including JSON numbers that are not plain integers, negative bounds,
 negative search arrow counts, a divisor given to toric knum, an input
 file that cannot be read (a directory, say), obstruct input with both
 a quiver and a Gram matrix, quiver JSON with more than
-cli.JSON_VERTEX_BOUND = 100 vertices, Gram JSON with more than 100 rows
-or collection JSON with more than 100 objects (the same bound), fan JSON
-with more than cli.FAN_RAY_BOUND = 100 rays, a toric coh divisor or a verify
-collection whose lattice counts would test more than
-cli.LATTICE_TEST_BOUND = 2500000 ray inequalities (box points times
-rays, over D and K - D for toric coh and over every difference of two
-line bundles for verify), solve-abc --max above
-cli.SOLVE_ABC_BOUND = 10000, search --bound
-above cli.SEARCH_BOUND_MAX = 8 or a search box of more than
-cli.SEARCH_BOX_BOUND = 10000 Picard vectors, and reproduce --m-max above
+cli.JSON_VERTEX_BOUND = 100 vertices, Gram JSON with more than 100 rows,
+collection JSON with more than 100 objects or fan JSON with more than 100
+rays (the same bound), a search box of more than cli.SEARCH_BOX_BOUND =
+10000 Picard vectors, a toric coh divisor, a verify collection or a search
+box whose lattice counts would test more than cli.LATTICE_TEST_BOUND =
+3200000 ray inequalities (box points times rays, over D and K - D for
+toric coh and for every vector of the search box, and over every
+difference of two line bundles for verify), solve-abc --max above
+cli.SOLVE_ABC_BOUND = 10000, and reproduce --m-max above
 cli.REPRODUCE_M_MAX_BOUND = 40;
 3 an internal error (a failed exact identity, or input nested too deeply
 to read), reported as one line on stderr and never as a verdict.
-The search limits cap the box and its coefficients, not the fan: each
-box point still costs more on a fan with longer rays.
 verify --strong also reports the quiver data abc of every strong 3-object
 collection, whether its objects are line bundles, curve sheaves or both.
 Reports are printed to stdout with sorted keys, so identical inputs give
@@ -34,6 +31,7 @@ report but neither prints a traceback nor changes the exit code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -66,28 +64,24 @@ class InputError(Exception):
     pass
 
 
-# Most quiver vertices, Gram rows or collection objects read from JSON: n of
-# them are a few bytes of input but cost an n x n table (an exact Euler form,
-# an elimination, a Hom/Ext table). The library constructors are unbounded.
+# Most quiver vertices, Gram rows, collection objects or fan rays read from
+# JSON: n of them are a few bytes of input but cost an n x n table (an exact
+# Euler form, an elimination, a Hom/Ext table; toric knum took 0.26 s on 100
+# rays and 1.3 s on 200). The library constructors are unbounded.
 JSON_VERTEX_BOUND = 100
-# Most rays in fan JSON: toric knum took 0.26 s on 100 rays and 1.3 s on
-# 200 (blow-ups of P1xP1), about 8x per doubling of the ray count.
-FAN_RAY_BOUND = 100
-# Most ray inequalities that toric coh (over D and K - D) and verify (over
-# every difference of two line bundles) may test: box points times rays.
-# P2 with D = (N, 0, 0) tests 3 (N + 1)^2, 2,495,232 at N = 911 in
-# 0.9-1.1 s and 3,006,003 at N = 1000 in 0.9-1.3 s of toric coh.
-LATTICE_TEST_BOUND = 2500000
+# Most ray inequalities (box points times rays) that toric coh (over D and
+# K - D), verify (over every difference of two line bundles) and search (over
+# D and K - D of every vector of its box) may test, about one second of work:
+# P2 with D = (N, 0, 0) tests 3 (N + 1)^2, 3,195,072 at N = 1031 in 0.9 s of
+# toric coh, and search dP6 1 1 1 --bound 4 tests 3,185,460 in 0.9-1.2 s.
+LATTICE_TEST_BOUND = 3200000
 # Largest solve-abc --max: the report lists about 4 * max triples.
 SOLVE_ABC_BOUND = 10000
 # Most Picard vectors in a search box (2 * bound + 1)^rho: 6,561 on dP6
-# (--bound 4) take about 1 s, 14,641 (--bound 5) about 3 s.
+# (--bound 4) take about 1 s, 14,641 (--bound 5) about 3 s. The lattice-test
+# charge cannot see the other work of each vector (one with entries in
+# {-1, 0} scans nothing), and computing it walks the whole box.
 SEARCH_BOX_BOUND = 10000
-# Largest search --bound. The lattice counts grow with the coefficients, so
-# a small box is no cap on its own: search F3 1 1 1 took 10 s at --bound 30
-# and P2 1.3 s at --bound 100. At 8, Bl2P2 takes about 1.2 s; larger fans
-# still cost more per box point.
-SEARCH_BOUND_MAX = 8
 # Largest reproduce --m-max: the divisor table grows about as m^2.5, from
 # about 0.75 s at 40 to 2.8 s at 80.
 REPRODUCE_M_MAX_BOUND = 40
@@ -131,8 +125,8 @@ def _ints(value, what: str, depth: int = 1):
 
 def _read_fan(data) -> ToricSurface:
     rays = _ints(_field(data, "rays", "fan"), "fan rays", 2)
-    if len(rays) > FAN_RAY_BOUND:
-        raise InputError(f"fan JSON is limited to {FAN_RAY_BOUND} rays, got {len(rays)}")
+    if len(rays) > JSON_VERTEX_BOUND:
+        raise InputError(f"fan JSON is limited to {JSON_VERTEX_BOUND} rays, got {len(rays)}")
     return ToricSurface(rays)
 
 
@@ -316,8 +310,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.bound > SEARCH_BOUND_MAX:
-        raise InputError(f"search --bound is limited to {SEARCH_BOUND_MAX}, got {args.bound}")
     surface = _load_fan(args.fan)
     box = (2 * args.bound + 1) ** surface.picard_rank
     if args.bound >= 0 and box > SEARCH_BOX_BOUND:
@@ -325,6 +317,9 @@ def cmd_search(args) -> int:
             f"search box (2 * {args.bound} + 1)^{surface.picard_rank} has {box} points; "
             f"the limit is {SEARCH_BOX_BOUND}"
         )
+    # the level sets count D and K - D for every vector of the box
+    vectors = itertools.product(range(-args.bound, args.bound + 1), repeat=surface.picard_rank)
+    _limit_lattice_tests("search", "the box", sum(surface._coh_lattice_tests(v + (0, 0)) for v in vectors))
     outcome = search_abc(surface, args.a, args.b, args.c, bound=args.bound)
     payload = {
         "triple": list(outcome.triple),

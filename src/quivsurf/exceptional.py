@@ -19,7 +19,7 @@ surface, so later searches on that surface reuse every pair_hom of the box;
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import FrozenValue, _as_int, _as_ints, _square_ints
 from .quivers import paths_matrix, star
@@ -43,9 +43,6 @@ class LineBundle(FrozenValue):
 
 class CurveSheaf(NamedTuple):
     ray: int
-
-
-CollectionObject = Union[LineBundle, CurveSheaf]
 
 
 class Collection(FrozenValue):
@@ -308,10 +305,6 @@ def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
 
 # --- the star family ---------------------------------------------------------
 
-# Largest star S_n that star_family_surface builds.
-STAR_FAMILY_MAX = 6
-
-
 class StarFamilyReport(NamedTuple):
     """Outcome of realising the n-leaf star quiver by a mixed collection."""
 
@@ -335,7 +328,7 @@ def star_family_surface(n: int) -> tuple:
     self-intersection -1. Returns (surface, ray indices of those curves).
     A failure of either property is a bug, raised as ConsistencyError.
     """
-    n = _as_int(n, "star family size", 0, STAR_FAMILY_MAX)
+    n = _as_int(n, "star family size", 0)
     s = projective_plane()
     for _ in range(max(0, 2 * n - 3)):
         s = s.blow_up(0)

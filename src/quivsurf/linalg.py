@@ -27,7 +27,13 @@ class Signature(NamedTuple):
 def _as_ints(values, what: str) -> tuple:
     """values as a tuple of ints, converted exactly by operator.index: an
     entry that is not an integer (a float, a Fraction, a string) raises
-    ValueError naming it, where int() would truncate or parse it."""
+    ValueError naming it, where int() would truncate or parse it. values is
+    read once, into a tuple, so that a bad entry of an iterator can still be
+    named; values that is not iterable raises ValueError too."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what}: expected a sequence, got {values!r}") from None
     try:
         return tuple(map(operator.index, values))
     except TypeError:
@@ -56,8 +62,12 @@ def _as_int(value, what: str, least: Optional[int] = None, most: Optional[int] =
 def _square_ints(rows, what: str) -> tuple:
     """rows as a square tuple of int rows, each converted by _as_ints: the
     one check of every square integer matrix read as input. A non-integer
-    entry, or an empty or non-square grid, raises ValueError naming what."""
-    rows = tuple(_as_ints(row, f"{what} entry") for row in rows)
+    entry, a grid or row that is not iterable, or an empty or non-square
+    grid raises ValueError naming what."""
+    try:
+        rows = tuple(_as_ints(row, f"{what} entry") for row in rows)
+    except TypeError:
+        raise ValueError(f"{what}: expected a sequence, got {rows!r}") from None
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError(f"{what} must be a non-empty square")
     return rows

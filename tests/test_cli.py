@@ -9,6 +9,7 @@ import pytest
 
 from quivsurf import cli
 from quivsurf.cli import main
+from quivsurf.exceptional import AbcSearchResult
 from quivsurf.quivers import Quiver, obstruction_report
 from quivsurf.toric import PRESETS, ConsistencyError, ToricSurface, blowup_p2, preset
 
@@ -359,20 +360,55 @@ def test_search_limits_the_box(capsys):
     # (1, 1, 0) returns before any cohomology
     code, out, _ = run_cli(capsys, "search", "dP6", "1", "1", "0", "--bound", "4")
     assert code == 0 and json.loads(out)["result"]["bound"] == 4
-    # 101^2 = 10,201 points on P1xP1 are rejected (by the bound limit first)
-    code, out, _ = run_cli(capsys, "search", "P1xP1", "1", "1", "0", "--bound", "50")
+    # 101^2 = 10,201 points on P1xP1 are rejected before their lattice tests
+    # are counted
+    code, out, err = run_cli(capsys, "search", "P1xP1", "1", "1", "0", "--bound", "50")
     assert (code, out) == (2, "")
+    assert err == "error: search box (2 * 50 + 1)^2 has 10201 points; the limit is 10000\n"
 
 
-def test_search_limits_the_bound(capsys):
+def test_search_charges_its_lattice_tests(tmp_path, capsys, monkeypatch):
     # a small box is no cap on its own, since the lattice counts grow with
-    # the coefficients: the 201 points of P2 at --bound 100 took over 1 s
-    code, out, err = run_cli(capsys, "search", "P2", "1", "1", "1", "--bound", "9")
+    # the rays and the coefficients: the 9 points of this fan at --bound 1
+    # would take hours
+    fan = write_json(tmp_path, "long.json", {"rays": [[1, 0], [0, 1], [-1, 1000000000], [0, -1]]})
+    code, out, err = run_cli(capsys, "search", fan, "1", "1", "1", "--bound", "1")
     assert (code, out) == (2, "")
-    assert err == "error: search --bound is limited to 8, got 9\n"
-    # the impossible triple (1, 1, 0) returns before any cohomology
-    code, out, _ = run_cli(capsys, "search", "P1xP1", "1", "1", "0", "--bound", "8")
-    assert code == 0 and json.loads(out)["result"]["bound"] == 8
+    assert err == (
+        "error: search would test 32000000060 lattice inequalities for the box; "
+        "the limit is 3200000\n"
+    )
+    assert_input_error(
+        capsys, "search", "F3", "1", "1", "1", "--bound", "30", message="test 24993508 lattice inequalities"
+    )
+    code, out, _ = run_cli(capsys, "search", "P2", "1", "1", "1", "--bound", "9")
+    assert code == 0 and json.loads(out)["result"]["bound"] == 9
+    # P2 at --bound 1: D = 0 scans one point and D = (1, 0, 0) a box of 4,
+    # 3 rays at each; every other D and K - D has no sections
+    monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 15)
+    code, _, _ = run_cli(capsys, "search", "P2", "1", "1", "1", "--bound", "1")
+    assert code == 0
+    monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 14)
+    assert_input_error(
+        capsys, "search", "P2", "1", "1", "1", "--bound", "1", message="test 15 lattice inequalities"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_search_charge_admits_every_preset_box(capsys, monkeypatch, name):
+    # the largest box the former caps (--bound 8, 10,000 vectors) accepted:
+    # a stub stands in for the search, so only the charge is computed
+    rho = preset(name).picard_rank
+    bound = max(b for b in range(9) if (2 * b + 1) ** rho <= cli.SEARCH_BOX_BOUND)
+    seen = []
+
+    def stub(surface, a, b, c, bound):
+        seen.append(bound)
+        return AbcSearchResult((a, b, c), (), None)
+
+    monkeypatch.setattr(cli, "search_abc", stub)
+    code, _, _ = run_cli(capsys, "search", name, "1", "1", "1", "--bound", str(bound))
+    assert (code, seen) == (0, [bound])
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -439,7 +475,7 @@ def blown_up_fan(n_rays):
 
 
 def test_fan_json_limits_rays(tmp_path, capsys):
-    big = write_json(tmp_path, "big.json", blown_up_fan(cli.FAN_RAY_BOUND + 1))
+    big = write_json(tmp_path, "big.json", blown_up_fan(cli.JSON_VERTEX_BOUND + 1))
     collection = write_json(tmp_path, "coll.json", {"fan": blown_up_fan(101), "objects": []})
     for argv in (
         ("toric", "knum", big),
@@ -458,12 +494,12 @@ def test_fan_json_limits_rays(tmp_path, capsys):
 def test_toric_coh_limits_the_lattice_boxes(tmp_path, capsys, monkeypatch):
     # P2 with D = (N, 0, 0) tests 3 rays at each of the (N + 1)^2 box points;
     # K - D has no sections and scans none
-    for n, tests in ((100000, 30000600003), (912, 2500707)):
+    for n, tests in ((100000, 30000600003), (1032, 3201267)):
         code, out, err = run_cli(capsys, "toric", "coh", "P2", "-d", f"[{n}, 0, 0]")
         assert (code, out) == (2, "")
         assert err == (
             f"error: toric coh would test {tests} lattice inequalities for D and K - D; "
-            "the limit is 2500000\n"
+            "the limit is 3200000\n"
         )
     # a long fan is charged for its rays: 390,726 box points with 100 rays each
     fan = write_json(tmp_path, "fan100.json", blown_up_fan(100))
@@ -489,7 +525,7 @@ def test_verify_limits_the_lattice_tests(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == (
         "error: verify would test 59999400018 lattice inequalities for the line-bundle "
-        "differences; the limit is 2500000\n"
+        "differences; the limit is 3200000\n"
     )
     # (O, O(1), O(2)): each distinct difference once, 3 for 0, 12 + 0 for
     # +-1 and 27 + 12 for +-2

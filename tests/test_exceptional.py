@@ -30,7 +30,6 @@ from quivsurf.toric import (
 )
 from quivsurf import cli
 from quivsurf.exceptional import (
-    STAR_FAMILY_MAX,
     Collection,
     CurveSheaf,
     LineBundle,
@@ -194,8 +193,8 @@ SCALAR_ENTRY_POINTS = {
     "search_kronecker n": (lambda x: search_kronecker(p1xp1(), x, 1), 1, None),
     "search_kronecker bound": (lambda x: search_kronecker(p1xp1(), 2, x), 0, None),
     "search_paths bound": (lambda x: search_paths(p1xp1(), ((1, 1), (0, 1)), x), 0, None),
-    "verify_star_family": (verify_star_family, 0, STAR_FAMILY_MAX),
-    "star_family_surface": (star_family_surface, 0, STAR_FAMILY_MAX),
+    "verify_star_family": (verify_star_family, 0, None),
+    "star_family_surface": (star_family_surface, 0, None),
     "verify_divisor_table": (verify_divisor_table, 1, None),
     "ext_dims": (lambda x: ext_dims(line_collection(P2, [(0, 0, 0)] * 3), x, 0), 0, 2),
     "ray_divisor": (lambda x: P2.ray_divisor(x), 0, 2),
@@ -382,6 +381,7 @@ def test_search_caches_only_strong_vectors_their_negatives_and_outside_differenc
         ((1, 2), (1, 1)),  # a nonzero entry below the diagonal
         ((1, -1), (0, 1)),  # a negative entry
         ((1, 1.5), (0, 1)),  # not an integer
+        [1],  # a row that is not a sequence
     ],
 )
 def test_search_paths_rejects_malformed_paths(paths):
@@ -407,11 +407,11 @@ def test_star_family_small_cases():
     assert all(hom[i][j] == (0, 0, 0) for i in (1, 2, 3) for j in (1, 2, 3) if i != j)
 
 
-def test_star_family_bound():
-    with pytest.raises(ValueError):
-        verify_star_family(7)
-    with pytest.raises(ValueError):
-        verify_star_family(-1)
+def test_star_family_beyond_six():
+    # the constructor is unbounded, like every other library constructor:
+    # S_8 sits on a blow-up of P2 with 24 rays
+    report = verify_star_family(8)
+    assert report.ok and report.surface.n_rays == 24 and len(report.exceptional_rays) == 8
 
 
 def test_star_family_construction_failure_is_internal(monkeypatch, capsys):

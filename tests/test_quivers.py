@@ -168,6 +168,9 @@ def test_obstruction_e8_rank():
         ([[1, 2], [3]], "Gram matrix must be a non-empty square"),
         ([[1, 2, 3], [0, 1, 2]], "Gram matrix must be a non-empty square"),
         ([[1, 0.5], [0, 1]], "Gram matrix entry 0.5 is not an integer"),
+        # rows or a grid that cannot be iterated used to leak TypeError
+        ([1, 2], "Gram matrix entry: expected a sequence, got 1"),
+        (5, "Gram matrix: expected a sequence, got 5"),
     ],
 )
 def test_obstruction_rejects_malformed_gram_rows(rows, message):

@@ -142,6 +142,8 @@ NON_INTEGER_ENTRY_POINTS = {
     "KClass rank": lambda x: KClass(x, (0, 0, 0), 0),
     "KClass twice_ch2": lambda x: KClass(1, (0, 0, 0), x),
     "LineBundle": lambda x: LineBundle((x, 0, 0)),
+    # an iterator is read once: the bad entry is named, not the iterator
+    "LineBundle from a generator": lambda x: LineBundle(c for c in (0, x, 0)),
     "line_collection": lambda x: line_collection(P2, [(0, 0, 0), (x, 0, 0)]),
     "pair_hom": lambda x: pair_hom(P2, (x, 0, 0)),
     "Quiver": lambda x: Quiver(2, ((0, x),)),
