@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Rank, determinant and inertia for the small integer bilinear forms
-produced by quivers and surfaces. Matrices store Fractions; each
-elimination clears their denominators and then runs on plain ints,
-fraction-free (Bareiss, Math. Comp. 22, 1968), so no intermediate is a
-Fraction and no floating point is used anywhere: sign decisions (and
-hence signatures) are exact.
+produced by quivers and surfaces. Matrices store integral entries as
+ints and only the others as Fractions; each elimination clears any
+denominators and then runs on plain ints, fraction-free (Bareiss, Math.
+Comp. 22, 1968), so no intermediate is a Fraction and no floating point
+is used anywhere: sign decisions (and hence signatures) are exact.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -35,7 +36,7 @@ def _as_ints(values, what: str) -> tuple:
     except TypeError:
         raise ValueError(f"{what}: expected a sequence, got {values!r}") from None
     try:
-        return tuple(map(operator.index, values))
+        return tuple([*map(operator.index, values)])
     except TypeError:
         bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
         raise ValueError(f"{what} {bad!r} is not an integer") from None
@@ -65,7 +66,7 @@ def _square_ints(rows, what: str) -> tuple:
     entry, a grid or row that is not iterable, or an empty or non-square
     grid raises ValueError naming what."""
     try:
-        rows = tuple(_as_ints(row, f"{what} entry") for row in rows)
+        rows = tuple([_as_ints(row, f"{what} entry") for row in rows])
     except TypeError:
         raise ValueError(f"{what}: expected a sequence, got {rows!r}") from None
     if not rows or any(len(row) != len(rows) for row in rows):
@@ -107,15 +108,34 @@ class FrozenValue:
         return f"{type(self).__name__}({fields})"
 
 
+def _rational(x):
+    """x in canonical form: an int when integral, else a Fraction. An entry
+    that is not a numbers.Rational (a float, a string) raises ValueError
+    naming it, where Fraction() would approximate or parse it."""
+    if isinstance(x, numbers.Integral):
+        return operator.index(x)
+    if not isinstance(x, numbers.Rational):
+        raise ValueError(f"matrix entry {x!r} is not a rational number")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class ExactMatrix(FrozenValue):
-    """Immutable dense matrix with exact rational entries, row-major."""
+    """Immutable dense matrix with exact rational entries, row-major. Each
+    integral entry is stored as an int, so Fraction(4, 2) is stored as 2,
+    and every other entry as a Fraction; equality and hashing are by value
+    either way."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple):
         rows = _as_int(rows, "matrix row count")
         cols = _as_int(cols, "matrix column count")
-        entries = tuple(tuple(map(Fraction, row)) for row in entries)
+        # the tuples on the obstruction path (here, in from_rows, _as_ints,
+        # _square_ints and Quiver) are built from lists, at their exact size:
+        # tuple() of a map or generator starts at 10 items and resizes, which
+        # fills CPython's per-size tuple free lists (up to 2,000 tuples each)
+        entries = tuple([tuple([x if type(x) is int else _rational(x) for x in row]) for row in entries])
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
         if rows < 1 or cols < 1:
@@ -124,7 +144,7 @@ class ExactMatrix(FrozenValue):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "ExactMatrix":
-        grid = tuple(map(tuple, rows))
+        grid = [tuple(row) for row in rows]
         if not grid:
             raise ValueError("matrix must be non-empty")
         return cls(len(grid), len(grid[0]), grid)
@@ -142,10 +162,11 @@ class ExactMatrix(FrozenValue):
 
 def _integer_rows(m: ExactMatrix) -> tuple:
     """(rows, scale): the entries times scale, the lcm of their
-    denominators, as lists of ints."""
+    denominators, as lists of ints. Integral entries are stored as ints, so
+    scale 1 means the rows are copied as they are."""
     scale = math.lcm(*(x.denominator for row in m.entries for x in row))
     if scale == 1:
-        return [[x.numerator for x in row] for row in m.entries], 1
+        return [list(row) for row in m.entries], 1
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries], scale
 
 

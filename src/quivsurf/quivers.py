@@ -47,7 +47,7 @@ class Quiver(FrozenValue):
 
     def __init__(self, vertices: int, arrows: tuple):
         vertices = _as_int(vertices, "quiver vertex count", 1)
-        arrows = tuple(map(_arrow, arrows))
+        arrows = tuple([_arrow(a) for a in arrows])
         for s, t in arrows:
             if not (0 <= s < vertices and 0 <= t < vertices):
                 raise ValueError(f"arrow ({s},{t}) out of range for {vertices} vertices")

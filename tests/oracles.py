@@ -43,15 +43,22 @@ def identity(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def fraction_rows(m: ExactMatrix) -> list:
+    """The entries of m as lists of Fractions: ExactMatrix stores integral
+    entries as ints, on which / would give floats."""
+    return [list(map(Fraction, row)) for row in m.entries]
+
+
 def charpoly(m: ExactMatrix) -> list:
     """Coefficients [1, a1, ..., an] of det(tI - M), by Faddeev-LeVerrier
     on lists of Fractions."""
     assert m.is_square
     n = m.rows
+    rows = fraction_rows(m)
     coeffs = [Fraction(1)]
     b = identity(n)
     for k in range(1, n + 1):
-        a = matmul(m.entries, b)
+        a = matmul(rows, b)
         ak = -sum(a[i][i] for i in range(n)) / k
         coeffs.append(ak)
         b = [[x + ak if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
@@ -78,7 +85,7 @@ def signature_by_charpoly(m: ExactMatrix) -> Signature:
 def _eliminate_fraction(m: ExactMatrix) -> tuple:
     """Row echelon form by Gaussian elimination over Fractions:
     (rank, echelon rows, sign of the row permutation)."""
-    a = [list(row) for row in m.entries]
+    a = fraction_rows(m)
     rank, sign = 0, 1
     for col in range(m.cols):
         pivot = next((r for r in range(rank, m.rows) if a[r][col] != 0), None)
@@ -118,7 +125,7 @@ def signature_fraction(m: ExactMatrix) -> Signature:
     partner row and column."""
     assert m.entries == tuple(zip(*m.entries))
     n = m.rows
-    a = [list(row) for row in m.entries]
+    a = fraction_rows(m)
     for i in range(n):
         if a[i][i] == 0:
             j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)

@@ -72,7 +72,10 @@ def test_validating_constructors_normalise_fields():
     assert Quiver(2, [[0, 1]]).arrows == ((0, 1),)
     assert KClass(1, [0, 0], 0).twice_ch2 == 0 and KClass(1, [0, 0], 0).c1 == (0, 0)
     assert LineBundle([1, 2, 3]).divisor == (1, 2, 3)
-    assert ExactMatrix(1, 1, [[2]]).entries == ((Fraction(2),),)
+    assert ExactMatrix(1, 1, [[2]]).entries == ((2,),)
+    entries = ExactMatrix.from_rows([[2, Fraction(1, 2), Fraction(4, 2), True]]).entries[0]
+    assert list(map(type, entries)) == [int, Fraction, int, int]
+    assert entries == (2, Fraction(1, 2), 2, 1)
     assert repr(ExactMatrix.from_rows([[1, 0], [0, 2]])) == "ExactMatrix(2x2: 1 0; 0 2)"
     assert repr(Quiver(2, ((0, 1),))) == "Quiver(vertices=2, arrows=((0, 1),))"
 
@@ -110,6 +113,9 @@ def test_kclass_subtraction_rejects_mismatched_c1():
         (lambda: Quiver(3, ([0, 1.5],)), "arrow endpoint 1.5 is not an integer"),
         (lambda: ExactMatrix(2, 2, ((1, 2),)), "entry grid does not match declared shape"),
         (lambda: ExactMatrix(0, 0, ()), "matrix must be non-empty"),
+        (lambda: ExactMatrix.from_rows([["1/2"]]), "matrix entry '1/2' is not a rational number"),
+        (lambda: ExactMatrix.from_rows([[" 3 "]]), "matrix entry ' 3 ' is not a rational number"),
+        (lambda: ExactMatrix.from_rows([[0.1]]), "matrix entry 0.1 is not a rational number"),
         (lambda: Collection(projective_plane(), ()), "collection must be non-empty"),
         (lambda: Collection(projective_plane(), (CurveSheaf(3),)), "curve ray 3 out of range"),
         (
