@@ -1,19 +1,16 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
 Rank, determinant and inertia for the small integer bilinear forms
-produced by quivers and surfaces. Matrices store integral entries as
-ints and only the others as Fractions; each elimination clears any
-denominators and then runs on plain ints, fraction-free (Bareiss, Math.
-Comp. 22, 1968), so no intermediate is a Fraction and no floating point
-is used anywhere: sign decisions (and hence signatures) are exact.
+produced by quivers and surfaces. Every elimination runs on plain ints,
+fraction-free (Bareiss, Math. Comp. 22, 1968), so no intermediate is a
+fraction and no floating point is used anywhere: sign decisions (and
+hence signatures) are exact.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -60,15 +57,25 @@ def _as_int(value, what: str, least: Optional[int] = None, most: Optional[int] =
     return value
 
 
-def _square_ints(rows, what: str) -> tuple:
-    """rows as a square tuple of int rows, each converted by _as_ints: the
-    one check of every square integer matrix read as input. A non-integer
-    entry, a grid or row that is not iterable, or an empty or non-square
-    grid raises ValueError naming what."""
+def _int_rows(rows, what: str) -> tuple:
+    """rows as a tuple of int rows, each converted by _as_ints: "{what}
+    entry 0.5 is not an integer". A grid or row that is not iterable raises
+    ValueError naming what."""
+    # tuples on the obstruction path are built from lists, at their exact
+    # size: tuple() of a map or generator starts at 10 items and resizes,
+    # which fills CPython's per-size tuple free lists (up to 2,000 each)
     try:
-        rows = tuple([_as_ints(row, f"{what} entry") for row in rows])
+        return tuple([_as_ints(row, f"{what} entry") for row in rows])
     except TypeError:
         raise ValueError(f"{what}: expected a sequence, got {rows!r}") from None
+
+
+def _square_ints(rows, what: str) -> tuple:
+    """rows as a square tuple of int rows, read by _int_rows: the one check
+    of every square integer matrix read as input. A non-integer entry, a
+    grid or row that is not iterable, or an empty or non-square grid raises
+    ValueError naming what."""
+    rows = _int_rows(rows, what)
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError(f"{what} must be a non-empty square")
     return rows
@@ -108,34 +115,19 @@ class FrozenValue:
         return f"{type(self).__name__}({fields})"
 
 
-def _rational(x):
-    """x in canonical form: an int when integral, else a Fraction. An entry
-    that is not a numbers.Rational (a float, a string) raises ValueError
-    naming it, where Fraction() would approximate or parse it."""
-    if isinstance(x, numbers.Integral):
-        return operator.index(x)
-    if not isinstance(x, numbers.Rational):
-        raise ValueError(f"matrix entry {x!r} is not a rational number")
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class ExactMatrix(FrozenValue):
-    """Immutable dense matrix with exact rational entries, row-major. Each
-    integral entry is stored as an int, so Fraction(4, 2) is stored as 2,
-    and every other entry as a Fraction; equality and hashing are by value
-    either way."""
+    """Immutable dense matrix of ints, row-major: the input of rank_rational
+    and signature_symmetric. Each entry is read by operator.index, so a
+    Fraction, float or string entry raises ValueError."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: tuple):
+    def __init__(self, rows: int, cols: int, entries: Iterable[Sequence]):
         rows = _as_int(rows, "matrix row count")
         cols = _as_int(cols, "matrix column count")
-        # the tuples on the obstruction path (here, in from_rows, _as_ints,
-        # _square_ints and Quiver) are built from lists, at their exact size:
-        # tuple() of a map or generator starts at 10 items and resizes, which
-        # fills CPython's per-size tuple free lists (up to 2,000 tuples each)
-        entries = tuple([tuple([x if type(x) is int else _rational(x) for x in row]) for row in entries])
+        self._set(rows, cols, _int_rows(entries, "matrix"))
+
+    def _set(self, rows: int, cols: int, entries: tuple) -> None:
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
         if rows < 1 or cols < 1:
@@ -144,10 +136,10 @@ class ExactMatrix(FrozenValue):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "ExactMatrix":
-        grid = [tuple(row) for row in rows]
-        if not grid:
-            raise ValueError("matrix must be non-empty")
-        return cls(len(grid), len(grid[0]), grid)
+        entries = _int_rows(rows, "matrix")
+        m = cls.__new__(cls)
+        m._set(len(entries), len(entries[0]) if entries else 0, entries)
+        return m
 
     @property
     def is_square(self) -> bool:
@@ -158,16 +150,6 @@ class ExactMatrix(FrozenValue):
             " ".join(str(x) for x in row) for row in self.entries
         )
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
-
-
-def _integer_rows(m: ExactMatrix) -> tuple:
-    """(rows, scale): the entries times scale, the lcm of their
-    denominators, as lists of ints. Integral entries are stored as ints, so
-    scale 1 means the rows are copied as they are."""
-    scale = math.lcm(*(x.denominator for row in m.entries for x in row))
-    if scale == 1:
-        return [list(row) for row in m.entries], 1
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries], scale
 
 
 def _echelon(a: list) -> tuple:
@@ -195,8 +177,8 @@ def _echelon(a: list) -> tuple:
 
 
 def rank_rational(m: ExactMatrix) -> int:
-    """Rank over Q by fraction-free elimination of the scaled integer rows."""
-    return _echelon(_integer_rows(m)[0])[0]
+    """Rank over Q by fraction-free elimination of the integer rows."""
+    return _echelon([list(r) for r in m.entries])[0]
 
 
 def signature_symmetric(m: ExactMatrix) -> Signature:
@@ -210,10 +192,8 @@ def signature_symmetric(m: ExactMatrix) -> Signature:
     Sylvester's law gives the inertia. Each block is the primitive multiple
     of a block of Bareiss minors, so entries stay fraction-free sized.
     """
-    if not m.is_square:
-        raise ValueError("signature requires a square matrix")
-    a = _integer_rows(m)[0]
-    if a != [list(col) for col in zip(*a)]:
+    a = [list(r) for r in m.entries]
+    if a != [list(col) for col in zip(*a)]:  # a non-square matrix fails too
         raise ValueError("signature requires a symmetric matrix")
     signs = []
     while a:

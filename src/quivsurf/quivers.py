@@ -111,21 +111,20 @@ def paths_matrix(q: Quiver) -> list:
     return rows
 
 
-def _chi(e: Sequence[Sequence], op, name: str) -> list:
-    """op(E, E^t) entrywise, in one pass over the rows and columns of E."""
-    if any(len(row) != len(e) for row in e):
-        raise ValueError(f"{name} requires a square matrix")
+def _chi(e: Sequence[Sequence], op) -> list:
+    """op(E, E^t) entrywise, in one pass over the rows and columns of
+    square rows E, unchecked."""
     return [[op(a, b) for a, b in zip(row, col)] for row, col in zip(e, zip(*e))]
 
 
 def chi_minus(e: Sequence[Sequence]) -> list:
-    """Antisymmetrised form E - E^t of square rows, as rows."""
-    return _chi(e, operator.sub, "chi_minus")
+    """Antisymmetrised form E - E^t of square integer rows, as rows."""
+    return _chi(_square_ints(e, "chi_minus"), operator.sub)
 
 
 def chi_plus(e: Sequence[Sequence]) -> list:
-    """Symmetrised form E + E^t of square rows, as rows."""
-    return _chi(e, operator.add, "chi_plus")
+    """Symmetrised form E + E^t of square integer rows, as rows."""
+    return _chi(_square_ints(e, "chi_plus"), operator.add)
 
 
 class ObstructionReport(NamedTuple):
@@ -158,7 +157,7 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
             f"full-subquiver search is limited to {SUBQUIVER_BOUND} vertices "
             f"(quiver has {q.vertices})"
         )
-    m = chi_minus(euler_matrix_simples(q))
+    m = _chi(euler_matrix_simples(q), operator.sub)
     for subset in itertools.combinations(range(q.vertices), 4):
         if rank_rational(ExactMatrix.from_rows([[m[i][j] for j in subset] for i in subset])) > 2:
             return subset
@@ -170,16 +169,16 @@ def obstruction_report(source) -> ObstructionReport:
 
     Gram rows, checked by _square_ints, are taken as the Euler form in some
     exceptional basis; the verdicts are congruence invariants so any basis
-    gives the same answer. chi^- and chi^+ are built on ints by chi_minus
-    and chi_plus. The witness is only searched for quiver input of at most
-    SUBQUIVER_BOUND vertices.
+    gives the same answer. chi^- and chi^+ are built by _chi, the unchecked
+    core of chi_minus and chi_plus. The witness is only searched for quiver
+    input of at most SUBQUIVER_BOUND vertices.
     """
     if isinstance(source, Quiver):
         e = euler_matrix_simples(source)
     else:
         e = _square_ints(source, "Gram matrix")
-    rank_cm = rank_rational(ExactMatrix.from_rows(chi_minus(e)))
-    sig = signature_symmetric(ExactMatrix.from_rows(chi_plus(e)))
+    rank_cm = rank_rational(ExactMatrix.from_rows(_chi(e, operator.sub)))
+    sig = signature_symmetric(ExactMatrix.from_rows(_chi(e, operator.add)))
     passes_rank = rank_cm <= 2
     passes_signature = sig.n_minus <= 2
     witness = None

@@ -95,15 +95,15 @@ def p1_cohomology(d: int) -> tuple:
 
 
 def add_divisors(d: Sequence[int], e: Sequence[int]) -> tuple:
-    return tuple(a + b for a, b in zip(d, e))
+    return tuple([a + b for a, b in zip(d, e)])
 
 
 def sub_divisors(d: Sequence[int], e: Sequence[int]) -> tuple:
-    return tuple(a - b for a, b in zip(d, e))
+    return tuple([a - b for a, b in zip(d, e)])
 
 
 def neg_divisor(d: Sequence[int]) -> tuple:
-    return tuple(-a for a in d)
+    return tuple([-a for a in d])
 
 
 class ToricSurface:
@@ -158,11 +158,11 @@ class ToricSurface:
         return len(self.rays) - 2
 
     def zero_divisor(self) -> tuple:
-        return tuple(0 for _ in self.rays)
+        return (0,) * len(self.rays)
 
     def ray_divisor(self, i: int) -> tuple:
         i = _as_int(i, "ray", 0, len(self.rays) - 1)
-        return tuple(1 if j == i else 0 for j in range(len(self.rays)))
+        return tuple([int(j == i) for j in range(len(self.rays))])
 
     def _check_divisor(self, d: Sequence[int]) -> tuple:
         """d as a tuple of ints of the fan's length: the one conversion at
@@ -247,7 +247,7 @@ class ToricSurface:
         """Most ray inequalities that the lattice counts of D and K - D in
         _count_coh test for a checked divisor: their box points times the
         ray count."""
-        boxes = (self._section_box(e) for e in (d, tuple(-1 - c for c in d)))
+        boxes = (self._section_box(e) for e in (d, tuple([-1 - c for c in d])))
         return len(self.rays) * sum(len(xs) * len(ys) for xs, ys in boxes)
 
     def h0_lattice_points(self, d: Sequence[int]) -> int:
@@ -281,7 +281,7 @@ class ToricSurface:
     def _count_coh(self, d: tuple) -> CohDims:
         """Cohomology of a checked divisor by two lattice counts, uncached."""
         h0 = self.h0_lattice_points(d)
-        h2 = self.h0_lattice_points(tuple(-1 - c for c in d))  # K - D
+        h2 = self.h0_lattice_points(tuple([-1 - c for c in d]))  # K - D
         h1 = h0 + h2 - self._chi(d)
         if h1 < 0:
             raise ConsistencyError(f"negative h1 for divisor {d}")

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: the signature oracle
 goes through the characteristic polynomial, rank, determinant and
-signature also have the Fraction Gaussian-elimination versions that the
-fraction-free integer routines replace, path counts come from a direct
+signature also have Gaussian-elimination versions that run on Fractions
+of the integer entries, the versions that the fraction-free integer
+routines replace, path counts come from a direct
 DFS, the quadric cohomology comes from the closed-form rational-curve
 formulas combined degree by degree, and the toric formulas (lattice-point
 box, intersection table, Riemann-Roch, Euler pairing) are the rational
@@ -44,8 +45,8 @@ def identity(n: int) -> list:
 
 
 def fraction_rows(m: ExactMatrix) -> list:
-    """The entries of m as lists of Fractions: ExactMatrix stores integral
-    entries as ints, on which / would give floats."""
+    """The entries of m as lists of Fractions: an ExactMatrix holds ints,
+    on which / would give floats."""
     return [list(map(Fraction, row)) for row in m.entries]
 
 

@@ -87,8 +87,9 @@ def test_closed_stdout_keeps_exit_code_without_traceback(tmp_path, arrows, expec
 
 def test_cold_import_loads_no_dataclasses_or_inspect():
     # a bare interpreter's modules against those after importing the CLI:
-    # dataclasses (and through it inspect, ast, dis) would cost the start-up
-    # of every single CLI call
+    # dataclasses (and through it inspect, ast, dis) or fractions (and
+    # through it decimal and numbers) would cost the start-up of every
+    # single CLI call
     code = (
         "import sys; before = set(sys.modules); import quivsurf.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -101,7 +102,7 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
     new = set(proc.stdout.split())
     layers = ("cli", "exceptional", "linalg", "quivers", "reproduce", "toric")
     assert {f"quivsurf.{layer}" for layer in layers} <= new
-    assert not {"dataclasses", "inspect"} & new
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "numbers"} & new
 
 
 def test_obstruct_a2_tilde_passes(tmp_path, capsys):

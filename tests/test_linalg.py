@@ -1,6 +1,5 @@
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +29,9 @@ from oracles import (
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 integers = st.integers(-4, 4)
-fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-entries = st.one_of(integers, fractions)
+# the wide branch gives entries in the hundreds, whose Bareiss minors and
+# congruence blocks grow far past a machine word
+entries = st.one_of(integers, st.integers(-600, 600))
 
 
 @st.composite
@@ -90,22 +90,9 @@ def test_bareiss_det_of_unimodular_matrices(n, seed):
 
 
 @PROPERTY
-@given(st.one_of(symmetric_matrices(integers), symmetric_matrices(fractions)))
+@given(st.one_of(symmetric_matrices(integers), symmetric_matrices(entries)))
 def test_integer_signature_matches_fraction_congruence(m):
     assert signature_symmetric(m) == signature_fraction(m) == signature_by_charpoly(m)
-
-
-@PROPERTY
-@given(symmetric_matrices(integers))
-def test_integer_matrix_from_fractions_is_the_int_matrix(m):
-    """Integral Fraction entries are stored as ints, so the matrix built
-    from them is the one built from ints: equal, hashed alike, and with
-    the same rank and signature."""
-    f = ExactMatrix.from_rows([[Fraction(x) for x in row] for row in m.entries])
-    assert all(type(x) is int for row in f.entries + m.entries for x in row)
-    assert f == m and hash(f) == hash(m)
-    assert rank_rational(f) == rank_rational(m)
-    assert signature_symmetric(f) == signature_symmetric(m)
 
 
 def test_building_a_matrix_keeps_no_tuples():
@@ -135,11 +122,6 @@ def test_rank_rectangular():
     assert rank_rational(m) == 1
 
 
-def test_rank_fractions():
-    m = ExactMatrix.from_rows([[Fraction(1, 2), 1], [1, 2]])
-    assert rank_rational(m) == 1
-
-
 def test_signature_diagonal():
     m = ExactMatrix.from_rows([[2, 0, 0], [0, -1, 0], [0, 0, 0]])
     assert signature_symmetric(m) == Signature(1, 1, 1)
@@ -156,7 +138,7 @@ def test_signature_rejects_nonsymmetric():
 
 
 def test_signature_rejects_rectangular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^signature requires a symmetric matrix$"):
         signature_symmetric(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
 
 

@@ -21,14 +21,14 @@ from quivsurf.exceptional import (
     pair_hom,
 )
 from quivsurf.linalg import ExactMatrix, Signature
-from quivsurf.quivers import ObstructionReport, Quiver, obstruction_report
+from quivsurf.quivers import ObstructionReport, Quiver, chi_minus, chi_plus, obstruction_report
 from quivsurf.toric import KClass, ToricSurface, p1_cohomology, p1xp1, projective_plane
 
 HOM = ((1, 0, 0), (0, 0, 0))
 
 # (class, constructor arguments, one field name): every value and record type
 VALUES = [
-    (ExactMatrix, (2, 2, ((1, 2), (3, Fraction(1, 2)))), "entries"),
+    (ExactMatrix, (2, 2, ((1, 2), (3, 4))), "entries"),
     (Quiver, (3, ((0, 1), (1, 2), (0, 2))), "arrows"),
     (KClass, (1, (2, -1), 3), "twice_ch2"),
     (LineBundle, ((1, 0, -1),), "divisor"),
@@ -73,9 +73,9 @@ def test_validating_constructors_normalise_fields():
     assert KClass(1, [0, 0], 0).twice_ch2 == 0 and KClass(1, [0, 0], 0).c1 == (0, 0)
     assert LineBundle([1, 2, 3]).divisor == (1, 2, 3)
     assert ExactMatrix(1, 1, [[2]]).entries == ((2,),)
-    entries = ExactMatrix.from_rows([[2, Fraction(1, 2), Fraction(4, 2), True]]).entries[0]
-    assert list(map(type, entries)) == [int, Fraction, int, int]
-    assert entries == (2, Fraction(1, 2), 2, 1)
+    entries = ExactMatrix.from_rows([[2, True]]).entries[0]
+    assert list(map(type, entries)) == [int, int]
+    assert entries == (2, 1)
     assert repr(ExactMatrix.from_rows([[1, 0], [0, 2]])) == "ExactMatrix(2x2: 1 0; 0 2)"
     assert repr(Quiver(2, ((0, 1),))) == "Quiver(vertices=2, arrows=((0, 1),))"
 
@@ -113,9 +113,12 @@ def test_kclass_subtraction_rejects_mismatched_c1():
         (lambda: Quiver(3, ([0, 1.5],)), "arrow endpoint 1.5 is not an integer"),
         (lambda: ExactMatrix(2, 2, ((1, 2),)), "entry grid does not match declared shape"),
         (lambda: ExactMatrix(0, 0, ()), "matrix must be non-empty"),
-        (lambda: ExactMatrix.from_rows([["1/2"]]), "matrix entry '1/2' is not a rational number"),
-        (lambda: ExactMatrix.from_rows([[" 3 "]]), "matrix entry ' 3 ' is not a rational number"),
-        (lambda: ExactMatrix.from_rows([[0.1]]), "matrix entry 0.1 is not a rational number"),
+        (lambda: ExactMatrix.from_rows([["1/2"]]), "matrix entry '1/2' is not an integer"),
+        (lambda: ExactMatrix.from_rows([[" 3 "]]), "matrix entry ' 3 ' is not an integer"),
+        (lambda: ExactMatrix.from_rows([[0.1]]), "matrix entry 0.1 is not an integer"),
+        (lambda: ExactMatrix.from_rows(5), "matrix: expected a sequence, got 5"),
+        (lambda: ExactMatrix.from_rows([5]), "matrix entry: expected a sequence, got 5"),
+        (lambda: ExactMatrix(1, 1, 5), "matrix: expected a sequence, got 5"),
         (lambda: Collection(projective_plane(), ()), "collection must be non-empty"),
         (lambda: Collection(projective_plane(), (CurveSheaf(3),)), "curve ray 3 out of range"),
         (
@@ -157,6 +160,9 @@ NON_INTEGER_ENTRY_POINTS = {
     "obstruction_report": lambda x: obstruction_report([[1, x], [0, 1]]),
     "ExactMatrix rows": lambda x: ExactMatrix(x, 2, ((1, 2), (3, 4))),
     "ExactMatrix cols": lambda x: ExactMatrix(2, x, ((1, 2), (3, 4))),
+    "ExactMatrix entry": lambda x: ExactMatrix.from_rows([[1, x], [0, 1]]),
+    "chi_minus": lambda x: chi_minus([[1, x], [0, 1]]),
+    "chi_plus": lambda x: chi_plus([[1, x], [0, 1]]),
     "p1_cohomology": p1_cohomology,
 }
 
