@@ -9,7 +9,6 @@ hence signatures) are exact.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -118,7 +117,8 @@ class FrozenValue:
 class ExactMatrix(FrozenValue):
     """Immutable dense matrix of ints, row-major: the input of rank_rational
     and signature_symmetric. Each entry is read by operator.index, so a
-    Fraction, float or string entry raises ValueError."""
+    Fraction, float or string entry raises ValueError; only _of, for int
+    rows the package has just built, skips that check."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -139,6 +139,13 @@ class ExactMatrix(FrozenValue):
         entries = _int_rows(rows, "matrix")
         m = cls.__new__(cls)
         m._set(len(entries), len(entries[0]) if entries else 0, entries)
+        return m
+
+    @classmethod
+    def _of(cls, rows: list) -> "ExactMatrix":
+        """Unchecked: rows is a non-empty rectangular list of int rows."""
+        m = cls.__new__(cls)
+        m._init(len(rows), len(rows[0]), tuple([tuple(r) for r in rows]))
         return m
 
     @property
@@ -182,38 +189,36 @@ def rank_rational(m: ExactMatrix) -> int:
 
 
 def signature_symmetric(m: ExactMatrix) -> Signature:
-    """Inertia of a symmetric matrix by integer congruence diagonalisation.
-
-    A zero diagonal entry with a nonzero partner in its row is repaired by
-    adding (or, when the addition would cancel, subtracting) the partner
-    row and column. After a nonzero pivot p with column u below it, the
-    trailing block B becomes sign(p) (p B - u u^t) over the gcd of its
-    entries: a positive multiple of the Schur complement B - u u^t / p, so
-    Sylvester's law gives the inertia. Each block is the primitive multiple
-    of a block of Bareiss minors, so entries stay fraction-free sized.
+    """Inertia of a symmetric matrix by Bareiss elimination on its upper
+    triangle: after pivot p with row u and previous pivot q, each trailing
+    entry becomes (p b_ij - u_i u_j) / q, an exact division because it is a
+    minor. The block is q times a Schur complement, so by Sylvester's law
+    each pivot adds sign(p / q) to the inertia. A zero pivot with a nonzero
+    partner is repaired by adding (or, when that would cancel, subtracting)
+    the partner row and column, a unimodular congruence that keeps the
+    division exact; a zero row adds to n_zero.
     """
-    a = [list(r) for r in m.entries]
-    if a != [list(col) for col in zip(*a)]:  # a non-square matrix fails too
+    # rows against columns, which differ in length when m is not square;
+    # tuple() of an iterator would resize and refill the tuple free lists
+    if any(map(operator.ne, m.entries, zip(*m.entries))):
         raise ValueError("signature requires a symmetric matrix")
-    signs = []
+    a = [list(row[i:]) for i, row in enumerate(m.entries)]
+    prev, signs = 1, []
     while a:
-        if a[0][0] == 0:
-            j = next((j for j in range(1, len(a)) if a[0][j]), None)
+        top = a[0]
+        if top[0] == 0:
+            j = next((j for j in range(1, len(top)) if top[j]), None)
             if j is None:
-                a = [row[1:] for row in a[1:]]
+                a = a[1:]
                 continue
-            # the new diagonal entry is 2*a[0][j] + a[j][j], which vanishes
-            # only for one sign choice
-            s = 1 if 2 * a[0][j] + a[j][j] else -1
-            a[0] = [x + s * y for x, y in zip(a[0], a[j])]
-            for row in a:
-                row[0] += s * row[j]
-        p = a[0][0]
-        sp = 1 if p > 0 else -1
-        signs.append(sp)
-        u = [row[0] for row in a[1:]]
-        a = [[sp * (p * x - ui * uj) for x, uj in zip(row[1:], u)] for row, ui in zip(a[1:], u)]
-        g = math.gcd(*(x for row in a for x in row))
-        if g > 1:
-            a = [[x // g for x in row] for row in a]
-    return Signature(signs.count(1), signs.count(-1), m.rows - len(signs))
+            # the new diagonal entry 2 a_0j + a_jj vanishes only for one
+            # sign choice; column j of the full block is read off the triangle
+            s = 1 if 2 * top[j] + a[j][0] else -1
+            col = [a[k][j - k] for k in range(1, j)] + a[j]
+            top = [2 * s * top[j] + a[j][0]] + [x + s * y for x, y in zip(top[1:], col)]
+        p = top[0]
+        signs.append((p > 0) == (prev > 0))
+        u = top[1:]
+        a = [[(p * x - ui * uj) // prev for x, uj in zip(row, u[i:])] for i, (row, ui) in enumerate(zip(a[1:], u))]
+        prev = p
+    return Signature(signs.count(True), signs.count(False), m.rows - len(signs))

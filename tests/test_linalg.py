@@ -47,11 +47,25 @@ def matrices(draw, square=False, elements=entries):
 
 @st.composite
 def symmetric_matrices(draw, elements):
-    """Up to 8x8, with a zero diagonal in half of them (the partner-repair
-    path) and a zero row and column now and then."""
-    n = draw(st.integers(1, 8))
-    zero_diagonal = draw(st.booleans())
+    """Up to 15x15, the size of the quiver forms. Half of them are a sum of
+    a few +-rank-one forms with some diagonal entries set to zero, so that
+    the partner repair runs after earlier pivots and the exact division by
+    the previous pivot has to survive it. The others have a zero diagonal
+    in half of them (the repair at the first pivot) and a zero row and
+    column now and then."""
+    n = draw(st.integers(1, 15))
     a = [[0] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 4))):
+            sign = draw(st.sampled_from((1, -1)))
+            v = draw(st.lists(elements, min_size=n, max_size=n))
+            for i in range(n):
+                for j in range(n):
+                    a[i][j] += sign * v[i] * v[j]
+        for i in draw(st.sets(st.integers(0, n - 1))):
+            a[i][i] = 0
+        return ExactMatrix.from_rows(a)
+    zero_diagonal = draw(st.booleans())
     for i in range(n):
         for j in range(i, n):
             a[i][j] = a[j][i] = 0 if i == j and zero_diagonal else draw(elements)
@@ -92,7 +106,9 @@ def test_bareiss_det_of_unimodular_matrices(n, seed):
 @PROPERTY
 @given(st.one_of(symmetric_matrices(integers), symmetric_matrices(entries)))
 def test_integer_signature_matches_fraction_congruence(m):
-    assert signature_symmetric(m) == signature_fraction(m) == signature_by_charpoly(m)
+    assert signature_symmetric(m) == signature_fraction(m)
+    if m.rows <= 8:  # the Fraction charpoly takes about 0.26 s at 15x15
+        assert signature_fraction(m) == signature_by_charpoly(m)
 
 
 def test_building_a_matrix_keeps_no_tuples():
@@ -100,12 +116,13 @@ def test_building_a_matrix_keeps_no_tuples():
     tuple() of a map or generator starts at 10 items and is resized, so
     CPython frees it into the free list of its final size (up to 2,000
     tuples each) and refills the 10-item list: built that way, 300 builds
-    of one 17x17 matrix kept about 2,000 more blocks."""
+    of one 17x17 matrix kept about 2,000 more blocks. The signature of the
+    matrix, which is symmetric, keeps none either."""
     rows = [[(i + j) % 5 - 2 for j in range(17)] for i in range(17)]
-    ExactMatrix.from_rows(rows)
+    signature_symmetric(ExactMatrix.from_rows(rows))
     before = sys.getallocatedblocks()
     for _ in range(300):
-        ExactMatrix.from_rows(rows)
+        signature_symmetric(ExactMatrix.from_rows(rows))
     assert sys.getallocatedblocks() - before < 200
 
 

@@ -261,17 +261,23 @@ def test_search_paths_matches_tuple_scan(s, bound, n, data):
 @PROPERTY
 @given(st.integers(0, 2**32))
 def test_obstruction_report_reads_every_euler_form_alike(seed):
-    # the quiver, its Euler rows and those rows as tuples
-    q = random_acyclic_quiver(random.Random(seed), 9)
+    # a quiver of up to 15 vertices, its Euler rows and those rows as
+    # tuples, and unitriangular Gram rows of up to 12x12: the sizes the
+    # obstruct benchmark sends
+    rng = random.Random(seed)
+    q = random_acyclic_quiver(rng, 15)
     rows = euler_matrix_simples(q)
-    pairs = [list(zip(row, col)) for row, col in zip(rows, transpose(rows))]
-    rank = rank_fraction(ExactMatrix.from_rows([[x - y for x, y in row] for row in pairs]))
-    sig = signature_by_charpoly(ExactMatrix.from_rows([[x + y for x, y in row] for row in pairs]))
-    for source in (q, rows, tuple(map(tuple, rows))):
-        report = obstruction_report(source)
-        assert report[:4] == (rank, sig, rank <= 2, sig.n_minus <= 2)
-        if source is not q:
-            assert report.forbidden_witness is None
+    m = rng.randint(1, 12)
+    gram = [[int(i == j) or (rng.choice((-2, -1, 0, 0, 1, 2, 3)) if j > i else 0) for j in range(m)] for i in range(m)]
+    for e, sources in ((rows, (q, rows, tuple(map(tuple, rows)))), (gram, (gram,))):
+        pairs = [list(zip(row, col)) for row, col in zip(e, transpose(e))]
+        rank = rank_fraction(ExactMatrix.from_rows([[x - y for x, y in row] for row in pairs]))
+        sig = signature_by_charpoly(ExactMatrix.from_rows([[x + y for x, y in row] for row in pairs]))
+        for source in sources:
+            report = obstruction_report(source)
+            assert report[:4] == (rank, sig, rank <= 2, sig.n_minus <= 2)
+            if source is not q:
+                assert report.forbidden_witness is None
 
 
 @PROPERTY
