@@ -169,21 +169,17 @@ def obstruction_report(source) -> ObstructionReport:
 
     Gram rows, checked by _square_ints, are taken as the Euler form in some
     exceptional basis; the verdicts are congruence invariants so any basis
-    gives the same answer. chi^- and chi^+ are built in one pass over E and
-    E^t and reach rank_rational and signature_symmetric through the
-    unchecked ExactMatrix._of. The witness is only searched for quiver
-    input of at most SUBQUIVER_BOUND vertices.
+    gives the same answer. chi^- and chi^+ are built by _chi, the unchecked
+    core of chi_minus and chi_plus, and reach rank_rational and
+    signature_symmetric through the unchecked ExactMatrix._of. The witness
+    is only searched for quiver input of at most SUBQUIVER_BOUND vertices.
     """
     if isinstance(source, Quiver):
         e = euler_matrix_simples(source)
     else:
         e = _square_ints(source, "Gram matrix")
-    minus, plus = [], []
-    for row, col in zip(e, zip(*e)):
-        minus.append([a - b for a, b in zip(row, col)])
-        plus.append([a + b for a, b in zip(row, col)])
-    rank_cm = rank_rational(ExactMatrix._of(minus))
-    sig = signature_symmetric(ExactMatrix._of(plus))
+    rank_cm = rank_rational(ExactMatrix._of(_chi(e, operator.sub)))
+    sig = signature_symmetric(ExactMatrix._of(_chi(e, operator.add)))
     passes_rank = rank_cm <= 2
     passes_signature = sig.n_minus <= 2
     witness = None
