@@ -118,7 +118,8 @@ class ExactMatrix(FrozenValue):
     """Immutable dense matrix of ints, row-major: the input of rank_rational
     and signature_symmetric. Each entry is read by operator.index, so a
     Fraction, float or string entry raises ValueError; only _of, for int
-    rows the package has just built, skips that check."""
+    rows the package has just built (chi^- and chi^+ in obstruction_report,
+    and each 4x4 minor of chi^- in the witness scan), skips that check."""
 
     __slots__ = ("rows", "cols", "entries")
 

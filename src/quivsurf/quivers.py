@@ -47,7 +47,10 @@ class Quiver(FrozenValue):
 
     def __init__(self, vertices: int, arrows: tuple):
         vertices = _as_int(vertices, "quiver vertex count", 1)
-        arrows = tuple([_arrow(a) for a in arrows])
+        try:
+            arrows = tuple([_arrow(a) for a in arrows])
+        except TypeError:
+            raise ValueError(f"quiver arrows: expected a sequence, got {arrows!r}") from None
         for s, t in arrows:
             if not (0 <= s < vertices and 0 <= t < vertices):
                 raise ValueError(f"arrow ({s},{t}) out of range for {vertices} vertices")
@@ -151,6 +154,9 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
     a skew form of rank >= 4 has a nonsingular principal minor of that size,
     and Pfaffian expansion descends through nonzero principal Pfaffians to
     a nonsingular principal 4x4 minor. Returns None when rank(chi^-) <= 2.
+    chi^- is built by _chi from the int rows of E, so each minor is cut
+    from ints and reaches rank_rational through the unchecked
+    ExactMatrix._of, like the forms of obstruction_report.
     """
     if q.vertices > SUBQUIVER_BOUND:
         raise ValueError(
@@ -159,7 +165,7 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
         )
     m = _chi(euler_matrix_simples(q), operator.sub)
     for subset in itertools.combinations(range(q.vertices), 4):
-        if rank_rational(ExactMatrix.from_rows([[m[i][j] for j in subset] for i in subset])) > 2:
+        if rank_rational(ExactMatrix._of([[m[i][j] for j in subset] for i in subset])) > 2:
             return subset
     return None
 

@@ -9,7 +9,8 @@ DFS, the quadric cohomology comes from the closed-form rational-curve
 formulas combined degree by degree, and the toric formulas (lattice-point
 box, intersection table, Riemann-Roch, Euler pairing) are the rational
 Fraction versions that the integer code paths replace. The witness scan
-over subsets of every size (which builds each induced subquiver) and the
+over subsets of every size (which builds each induced subquiver), the
+Pfaffian scan of four-vertex subsets (no rank, no `quivsurf` code) and the
 searches that compare raw cohomology triples are the versions that the
 principal-minor scan and `pair_hom` replace, and the scan over all pairs
 (a, b) is the version that the closed-form `solve_abc` replaces. The box
@@ -212,11 +213,11 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> ExactMatri
     return ExactMatrix.from_rows(a)
 
 
-def random_acyclic_quiver(rng: random.Random, max_vertices: int = 6):
+def random_acyclic_quiver(rng: random.Random, max_vertices: int = 6, min_vertices: int = 1):
     """Random acyclic multigraph: arrows only go forward along a shuffled order."""
     from quivsurf.quivers import Quiver
 
-    n = rng.randint(1, max_vertices)
+    n = rng.randint(min_vertices, max_vertices)
     order = list(range(n))
     rng.shuffle(order)
     arrows = []
@@ -264,6 +265,22 @@ def forbidden_subquiver_all_sizes(quiver):
             sub = induced_subquiver(quiver, subset)
             if rank_rational(ExactMatrix.from_rows(chi_minus(euler_matrix_simples(sub)))) > 2:
                 return subset
+    return None
+
+
+def witness_by_pfaffian(quiver):
+    """Lexicographically first four-vertex subset whose principal 4x4 minor
+    of chi^- = E - E^t has a nonzero Pfaffian m_ab m_cd - m_ac m_bd +
+    m_ad m_bc, or None. E = I - A is built here from the arrows, and a
+    skew 4x4 minor is nonsingular exactly when its Pfaffian is nonzero."""
+    n = quiver.vertices
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    for s, t in quiver.arrows:
+        e[s][t] -= 1
+    m = [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        if m[a][b] * m[c][d] - m[a][c] * m[b][d] + m[a][d] * m[b][c]:
+            return (a, b, c, d)
     return None
 
 

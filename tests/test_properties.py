@@ -5,7 +5,7 @@ level-set searches against the box loops they replace and `search_paths`
 against a scan over every tuple of box vectors, the obstruction report on
 both inputs of an Euler form against the Fraction rank and the
 characteristic-polynomial signature, and the four-vertex witness scan
-against the scan over every subset size."""
+against the scan over every subset size and the Pfaffian scan."""
 
 import functools
 import itertools
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from quivsurf.exceptional import pair_hom, search_abc, search_kronecker, search_paths, solve_abc
 from quivsurf.linalg import ExactMatrix
-from quivsurf.quivers import euler_matrix_simples, forbidden_full_subquiver, obstruction_report
+from quivsurf.quivers import Quiver, euler_matrix_simples, forbidden_full_subquiver, obstruction_report
 from quivsurf.toric import ConsistencyError, KClass, ToricSurface, random_blowup_surface
 
 from oracles import (
@@ -37,6 +37,7 @@ from oracles import (
     signature_by_charpoly,
     strong_pair_hom,
     transpose,
+    witness_by_pfaffian,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -290,3 +291,15 @@ def test_four_vertex_witness_matches_all_sizes_scan(seed, passing):
     assert (witness is None) == obstruction_report(q).passes_rank
     if passing:
         assert witness is None
+
+
+@PROPERTY
+@given(st.integers(0, 2**32))
+def test_four_vertex_witness_matches_pfaffian_scan(seed):
+    # 4-15 vertices, all arrows or a sparse share of them, so that some
+    # scans run far into the C(n, 4) subsets or find no witness at all
+    rng = random.Random(seed)
+    q = random_acyclic_quiver(rng, 15, 4)
+    keep = rng.choice((0.05, 0.2, 1.0))
+    q = Quiver(q.vertices, tuple(a for a in q.arrows if rng.random() < keep))
+    assert forbidden_full_subquiver(q) == witness_by_pfaffian(q)

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivsurf import linalg, quivers as quivers_module
 from quivsurf.linalg import ExactMatrix, rank_rational
 from quivsurf.quivers import (
     Quiver,
@@ -33,6 +34,7 @@ from oracles import (
     matmul,
     random_acyclic_quiver,
     transpose,
+    witness_by_pfaffian,
 )
 
 FOUR_VERTEX = Quiver(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)))
@@ -221,6 +223,32 @@ def test_forbidden_subquiver_minimality():
     # A4 with an extra isolated vertex: the witness should skip vertex 4
     q = Quiver(5, ((0, 1), (1, 2), (2, 3)))
     assert forbidden_full_subquiver(q) == (0, 1, 2, 3)
+
+
+# a failing 15-vertex quiver whose only witness is the last four-vertex
+# subset, so the scan ranks all C(15, 4) = 1,365 minors
+WORST_CASE = Quiver(15, ((11, 12), (12, 13), (13, 14)))
+
+
+def test_worst_case_scan_ranks_each_minor_unchecked(monkeypatch):
+    # one rank per scanned subset, and no minor goes through the entry
+    # check of ExactMatrix.from_rows
+    assert witness_by_pfaffian(WORST_CASE) == (11, 12, 13, 14)
+    calls = {"rank_rational": 0, "_int_rows": 0}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(quivers_module, "rank_rational")
+    count(linalg, "_int_rows")
+    assert forbidden_full_subquiver(WORST_CASE) == (11, 12, 13, 14)
+    assert calls == {"rank_rational": 1365, "_int_rows": 0}
 
 
 def test_chi_minus_principal_minor_is_induced_subquiver_chi_minus():

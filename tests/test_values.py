@@ -110,6 +110,7 @@ def test_kclass_subtraction_rejects_mismatched_c1():
         (lambda: Quiver(3, ((0, 1, 2),)), "arrow (0, 1, 2) is not a (source, target) pair"),
         (lambda: Quiver(3, ((0, 1), (2,))), "arrow (2,) is not a (source, target) pair"),
         (lambda: Quiver(3, (5,)), "arrow 5 is not a (source, target) pair"),
+        (lambda: Quiver(3, 5), "quiver arrows: expected a sequence, got 5"),
         (lambda: Quiver(3, ([0, 1.5],)), "arrow endpoint 1.5 is not an integer"),
         (lambda: ExactMatrix(2, 2, ((1, 2),)), "entry grid does not match declared shape"),
         (lambda: ExactMatrix(0, 0, ()), "matrix must be non-empty"),
