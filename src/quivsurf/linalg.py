@@ -4,7 +4,11 @@ Rank, determinant and inertia for the small integer bilinear forms
 produced by quivers and surfaces. Every elimination runs on plain ints,
 fraction-free (Bareiss, Math. Comp. 22, 1968), so no intermediate is a
 fraction and no floating point is used anywhere: sign decisions (and
-hence signatures) are exact.
+hence signatures) are exact. In the rank and determinant elimination a
+row whose pivot-column entry is 0 waits, and is divided at its next
+update by its own divisor, the pivot that last updated it: a stored row
+is the row of Bareiss minors of the step that last updated it, so every
+division is exact.
 """
 
 from __future__ import annotations
@@ -163,22 +167,36 @@ class ExactMatrix(FrozenValue):
 def _echelon(a: list) -> tuple:
     """Fraction-free Bareiss elimination (Math. Comp. 22, 1968) of integer
     rows, in place: (rank, determinant). After k pivots each entry below
-    them is a (k+1)-minor of the input, so the division by the previous
-    pivot is exact; the determinant of square rows is the last pivot,
-    signed by the row swaps, when every row has a pivot, else 0."""
+    them is a (k+1)-minor of the input. A row whose entry in the pivot
+    column is 0 would only be scaled by p / prev, so it waits instead:
+    last[r] is the pivot that last updated row r (1 at the start), and
+    the row holds the minors of that step: the minors after the latest
+    pivot prev times last[r] / prev. Its next update
+    (p x - f t) // last[r], and the catch-up x * prev // last[r] of a row
+    chosen as pivot, are then exact, because each result is again a row
+    of minors. The determinant of square rows is the last pivot, signed
+    by the row swaps, when every row has a pivot, else 0."""
     rank, sign, prev = 0, 1, 1
+    last = [1] * len(a)
     for col in range(len(a[0])):
         pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if pivot is None:
             continue
         if pivot != rank:
             a[rank], a[pivot] = a[pivot], a[rank]
+            last[rank], last[pivot] = last[pivot], last[rank]
             sign = -sign
-        top = a[rank]
-        p = top[col]
+        top, d = a[rank], last[rank]
+        if d != prev:
+            top[col:] = [x * prev // d for x in top[col:]]
+        p, tail = top[col], top[col + 1:]
         for r in range(rank + 1, len(a)):
-            row, f = a[r], a[r][col]
-            row[col + 1:] = [(p * x - f * t) // prev for x, t in zip(row[col + 1:], top[col + 1:])]
+            row = a[r]
+            f = row[col]
+            if f:
+                d = last[r]
+                row[col + 1:] = [(p * x - f * t) // d for x, t in zip(row[col + 1:], tail)]
+                last[r] = p
         prev = p
         rank += 1
     return rank, sign * prev if rank == len(a) else 0

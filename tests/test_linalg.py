@@ -36,7 +36,24 @@ entries = st.one_of(integers, st.integers(-600, 600))
 
 @st.composite
 def matrices(draw, square=False, elements=entries):
-    """Up to 8x8; a third of them with a row made from two others."""
+    """Half of them dense, up to 8x8, a third of those with a row made from
+    two others. The other half sparse, like the quiver forms: up to 15 rows
+    with 70-95% zero entries, wide nonzero entries too, and a zero row or
+    column now and then, so that a row waits through several pivots before
+    it is one."""
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 15))
+        cols = rows if square else draw(st.integers(1, 15))
+        zeros = draw(st.integers(70, 95))
+        nonzero = st.one_of(elements, st.integers(-600, 600)).filter(bool)
+        grid = [[0 if draw(st.integers(0, 99)) < zeros else draw(nonzero) for _ in range(cols)] for _ in range(rows)]
+        if draw(st.integers(0, 3)) == 0:
+            grid[draw(st.integers(0, rows - 1))] = [0] * cols
+        if draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(0, cols - 1))
+            for row in grid:
+                row[k] = 0
+        return ExactMatrix.from_rows(grid)
     rows = draw(st.integers(1, 8))
     cols = rows if square else draw(st.integers(1, 8))
     grid = draw(st.lists(st.lists(elements, min_size=cols, max_size=cols), min_size=rows, max_size=rows))

@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivsurf.exceptional import pair_hom, search_abc, search_kronecker, search_paths, solve_abc
+from quivsurf.exceptional import _level_sets, pair_hom, search_abc, search_kronecker, search_paths, solve_abc
 from quivsurf.linalg import ExactMatrix
 from quivsurf.quivers import Quiver, euler_matrix_simples, forbidden_full_subquiver, obstruction_report
 from quivsurf.toric import ConsistencyError, KClass, ToricSurface, random_blowup_surface
@@ -241,6 +241,10 @@ def test_search_paths_matches_tuple_scan(s, bound, n, data):
     entries = st.integers(0, 3)
     paths = [[1 if i == j else 0 if j < i else data.draw(entries) for j in range(n)] for i in range(n)]
     assert search_paths(s, paths, bound) == search_paths_by_tuple_scan(coh, rho, paths, bound)
+    # the premise of a Riemann-Roch gate in the level-set build: a strong
+    # vector v with h0 sections has chi(v) = h0 and chi(-v) = 0
+    _, values = _level_sets(s, bound)
+    assert all(s._chi(v + (0, 0)) == h0 and s._chi(tuple(-x for x in v) + (0, 0)) == 0 for v, h0 in values.items())
     # random paths are rarely realisable, so also build a strong collection
     # one box vector at a time and search for its forward Hom dimensions
     def hom(x, y):
