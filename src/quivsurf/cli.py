@@ -214,15 +214,7 @@ def cmd_obstruct(args) -> int:
     if ("gram" in data) == ("vertices" in data or "arrows" in data):
         raise InputError("input must contain exactly one of a quiver ('vertices'/'arrows') and 'gram'")
     report = obstruction_report(_read_gram(data) if "gram" in data else _read_quiver(data))
-    witness = report.forbidden_witness
-    payload = {
-        "rank_chi_minus": report.rank_chi_minus,
-        "signature_chi_plus": list(report.signature_chi_plus),
-        "passes_rank": report.passes_rank,
-        "passes_signature": report.passes_signature,
-        "passes": report.passes,
-        "forbidden_witness": None if witness is None else list(witness),
-    }
+    payload = {**report._asdict(), "passes": report.passes}
     _emit(_report("obstruct", payload, ok=report.passes))
     return EXIT_OK if report.passes else EXIT_VERIFY_FAILED
 

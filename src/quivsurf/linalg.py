@@ -120,31 +120,27 @@ class FrozenValue:
 
 class ExactMatrix(FrozenValue):
     """Immutable dense matrix of ints, row-major: the input of rank_rational
-    and signature_symmetric. Each entry is read by operator.index, so a
-    Fraction, float or string entry raises ValueError; only _of, for int
-    rows the package has just built (chi^- and chi^+ in obstruction_report,
-    and each 4x4 minor of chi^- in the witness scan), skips that check."""
+    and signature_symmetric. from_rows is the one public constructor and
+    checked reader: it reads each entry by operator.index, so a Fraction,
+    float or string entry raises ValueError, as does an empty or ragged
+    grid. Only _of, for int rows the package has just built (chi^- and
+    chi^+ in obstruction_report, and each 4x4 minor of chi^- in the
+    witness scan), skips those checks."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[Sequence]):
-        rows = _as_int(rows, "matrix row count")
-        cols = _as_int(cols, "matrix column count")
-        self._set(rows, cols, _int_rows(entries, "matrix"))
-
-    def _set(self, rows: int, cols: int, entries: tuple) -> None:
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry grid does not match declared shape")
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix must be non-empty")
-        self._init(rows, cols, entries)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build an ExactMatrix with ExactMatrix.from_rows")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "ExactMatrix":
         entries = _int_rows(rows, "matrix")
-        m = cls.__new__(cls)
-        m._set(len(entries), len(entries[0]) if entries else 0, entries)
-        return m
+        cols = len(entries[0]) if entries else 0
+        if any(len(r) != cols for r in entries):
+            raise ValueError("entry grid does not match declared shape")
+        if not cols:
+            raise ValueError("matrix must be non-empty")
+        return cls._of(entries)
 
     @classmethod
     def _of(cls, rows: list) -> "ExactMatrix":
@@ -152,16 +148,6 @@ class ExactMatrix(FrozenValue):
         m = cls.__new__(cls)
         m._init(len(rows), len(rows[0]), tuple([tuple(r) for r in rows]))
         return m
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self.entries
-        )
-        return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
 def _echelon(a: list) -> tuple:

@@ -246,9 +246,10 @@ class ToricSurface:
     def _coh_lattice_tests(self, d: tuple) -> int:
         """Most ray inequalities that the lattice counts of D and K - D in
         _count_coh test for a checked divisor: their box points times the
-        ray count."""
+        ray count. A box side is stop - start: len() of a range longer than
+        sys.maxsize raises OverflowError."""
         boxes = (self._section_box(e) for e in (d, tuple([-1 - c for c in d])))
-        return len(self.rays) * sum(len(xs) * len(ys) for xs, ys in boxes)
+        return len(self.rays) * sum((xs.stop - xs.start) * (ys.stop - ys.start) for xs, ys in boxes)
 
     def h0_lattice_points(self, d: Sequence[int]) -> int:
         """Global sections = lattice points of {m : <m, v_i> >= -d_i for all

@@ -54,7 +54,7 @@ def fraction_rows(m: ExactMatrix) -> list:
 def charpoly(m: ExactMatrix) -> list:
     """Coefficients [1, a1, ..., an] of det(tI - M), by Faddeev-LeVerrier
     on lists of Fractions."""
-    assert m.is_square
+    assert m.rows == m.cols
     n = m.rows
     rows = fraction_rows(m)
     coeffs = [Fraction(1)]
@@ -115,7 +115,7 @@ def rank_fraction(m: ExactMatrix) -> int:
 
 def det_fraction(m: ExactMatrix) -> Fraction:
     """Determinant: the signed product of the Fraction echelon diagonal."""
-    assert m.is_square
+    assert m.rows == m.cols
     _, a, sign = _eliminate_fraction(m)
     return sign * math.prod(a[i][i] for i in range(m.rows))
 

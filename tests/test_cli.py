@@ -54,6 +54,40 @@ def test_obstruct_five_vertex_gram(tmp_path, capsys):
     assert report["result"]["passes_signature"] is False
 
 
+OBSTRUCT_RESULTS = {
+    # a failing quiver with a witness, and a Gram matrix with none
+    "A5": (
+        {"vertices": 5, "arrows": [[i, i + 1] for i in range(4)]},
+        {"rank_chi_minus": 4, "signature_chi_plus": [5, 0, 0], "forbidden_witness": [0, 1, 2, 3]},
+    ),
+    "five-vertex Gram": (
+        {"gram": [[1, 2, 4, 3, 0], [0, 1, 4, 5, 2], [0, 0, 1, 4, 4], [0, 0, 0, 1, 3], [0, 0, 0, 0, 1]]},
+        {"rank_chi_minus": 2, "signature_chi_plus": [2, 3, 0], "forbidden_witness": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OBSTRUCT_RESULTS)
+def test_obstruct_report_keys(tmp_path, capsys, name):
+    # the result is the ObstructionReport fields plus passes
+    source, result = OBSTRUCT_RESULTS[name]
+    code, out, _ = run_cli(capsys, "obstruct", write_json(tmp_path, "input.json", source))
+    report = json.loads(out)
+    assert code == 1
+    assert sorted(report) == ["command", "pass", "result", "schema", "version"]
+    assert (report["command"], report["pass"]) == ("obstruct", False)
+    assert sorted(report["result"]) == [
+        "forbidden_witness",
+        "passes",
+        "passes_rank",
+        "passes_signature",
+        "rank_chi_minus",
+        "signature_chi_plus",
+    ]
+    assert report["result"].items() >= result.items()
+    assert report["result"]["passes"] is False
+
+
 def test_obstruct_rejects_non_unimodular_gram(tmp_path, capsys):
     path = write_json(tmp_path, "gram.json", {"gram": [[2, 0], [0, 5]]})
     code, out, err = run_cli(capsys, "obstruct", path)
@@ -548,6 +582,38 @@ def test_verify_limits_the_lattice_tests(tmp_path, capsys, monkeypatch):
     assert code == 0
     monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 5)
     assert_input_error(capsys, "verify", path, message="test 6 lattice inequalities")
+
+
+@pytest.mark.parametrize(
+    "argv, charge",
+    [
+        # P2 with D = (-10^23, 0, 0) scans only K - D = (10^23 - 1, -1, -1)
+        (
+            ("toric", "coh", "P2", "-d", "[-100000000000000000000000,0,0]"),
+            "toric coh would test 29999999999999999999998800000000000000000000012 lattice "
+            "inequalities for D and K - D",
+        ),
+        (
+            ("verify", "huge.json"),
+            "verify would test 59999999999999999999999400000000000000000000018 lattice "
+            "inequalities for the line-bundle differences",
+        ),
+        (
+            ("search", "longer.json", "1", "1", "1", "--bound", "1"),
+            "search would test 32000000000000000000060 lattice inequalities for the box",
+        ),
+    ],
+    ids=["toric coh", "verify", "search"],
+)
+def test_astronomical_lattice_charges_exit_2(tmp_path, capsys, monkeypatch, argv, charge):
+    # box sides past sys.maxsize, where len() of the range raises
+    # OverflowError: exit 1 would read as a negative verdict
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "huge.json", {"fan": P2_FAN, "objects": [{"line": [0, 0, 0]}, {"line": [10**23, 0, 0]}]})
+    write_json(tmp_path, "longer.json", {"rays": [[1, 0], [0, 1], [-1, 10**21], [0, -1]]})
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {charge}; the limit is 3200000\n"
 
 
 def test_verify_limits_collection_objects(tmp_path, capsys):

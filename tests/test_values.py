@@ -26,9 +26,9 @@ from quivsurf.toric import KClass, ToricSurface, p1_cohomology, p1xp1, projectiv
 
 HOM = ((1, 0, 0), (0, 0, 0))
 
-# (class, constructor arguments, one field name): every value and record type
+# (constructor, its arguments, one field name): every value and record type
 VALUES = [
-    (ExactMatrix, (2, 2, ((1, 2), (3, 4))), "entries"),
+    (ExactMatrix.from_rows, (((1, 2), (3, 4)),), "entries"),
     (Quiver, (3, ((0, 1), (1, 2), (0, 2))), "arrows"),
     (KClass, (1, (2, -1), 3), "twice_ch2"),
     (LineBundle, ((1, 0, -1),), "divisor"),
@@ -47,9 +47,9 @@ VALUES = [
 ]
 
 
-@pytest.mark.parametrize("cls, args, field", VALUES, ids=[v[0].__name__ for v in VALUES])
-def test_value_contract(cls, args, field):
-    x, y = cls(*args), cls(*args)
+@pytest.mark.parametrize("build, args, field", VALUES, ids=[v[0].__qualname__.split(".")[0] for v in VALUES])
+def test_value_contract(build, args, field):
+    x, y = build(*args), build(*args)
     assert x is not y and x == y and hash(x) == hash(y)
     assert not x != y
     with pytest.raises(AttributeError):
@@ -57,7 +57,7 @@ def test_value_contract(cls, args, field):
     with pytest.raises(AttributeError):
         delattr(x, field)
     assert getattr(x, field) == getattr(y, field)
-    assert repr(x).startswith(f"{cls.__name__}(")
+    assert repr(x).startswith(f"{type(x).__name__}(")
 
 
 def test_values_of_different_classes_or_fields_differ():
@@ -67,16 +67,25 @@ def test_values_of_different_classes_or_fields_differ():
     assert ExactMatrix.from_rows([[1]]) != ExactMatrix.from_rows([[1, 0]])
 
 
+def test_exact_matrix_is_built_by_from_rows_only():
+    # no declared-shape constructor, and no instance with unset fields
+    for args in ((2, 2, ((1, 2), (3, 4))), ()):
+        with pytest.raises(TypeError, match=r"^build an ExactMatrix with ExactMatrix\.from_rows$"):
+            ExactMatrix(*args)
+
+
 def test_validating_constructors_normalise_fields():
     assert Quiver(2, [[0, 1]]) == Quiver(2, ((0, 1),))
     assert Quiver(2, [[0, 1]]).arrows == ((0, 1),)
     assert KClass(1, [0, 0], 0).twice_ch2 == 0 and KClass(1, [0, 0], 0).c1 == (0, 0)
     assert LineBundle([1, 2, 3]).divisor == (1, 2, 3)
-    assert ExactMatrix(1, 1, [[2]]).entries == ((2,),)
+    assert ExactMatrix.from_rows([[2]]).entries == ((2,),)
     entries = ExactMatrix.from_rows([[2, True]]).entries[0]
     assert list(map(type, entries)) == [int, int]
     assert entries == (2, 1)
-    assert repr(ExactMatrix.from_rows([[1, 0], [0, 2]])) == "ExactMatrix(2x2: 1 0; 0 2)"
+    assert repr(ExactMatrix.from_rows([[1, 0], [0, 2]])) == (
+        "ExactMatrix(rows=2, cols=2, entries=((1, 0), (0, 2)))"
+    )
     assert repr(Quiver(2, ((0, 1),))) == "Quiver(vertices=2, arrows=((0, 1),))"
 
 
@@ -112,14 +121,15 @@ def test_kclass_subtraction_rejects_mismatched_c1():
         (lambda: Quiver(3, (5,)), "arrow 5 is not a (source, target) pair"),
         (lambda: Quiver(3, 5), "quiver arrows: expected a sequence, got 5"),
         (lambda: Quiver(3, ([0, 1.5],)), "arrow endpoint 1.5 is not an integer"),
-        (lambda: ExactMatrix(2, 2, ((1, 2),)), "entry grid does not match declared shape"),
-        (lambda: ExactMatrix(0, 0, ()), "matrix must be non-empty"),
+        (lambda: ExactMatrix.from_rows([[1, 2], [3]]), "entry grid does not match declared shape"),
+        (lambda: ExactMatrix.from_rows([]), "matrix must be non-empty"),
+        (lambda: ExactMatrix.from_rows([[], []]), "matrix must be non-empty"),
+        (lambda: ExactMatrix.from_rows([[], [1]]), "entry grid does not match declared shape"),
         (lambda: ExactMatrix.from_rows([["1/2"]]), "matrix entry '1/2' is not an integer"),
         (lambda: ExactMatrix.from_rows([[" 3 "]]), "matrix entry ' 3 ' is not an integer"),
         (lambda: ExactMatrix.from_rows([[0.1]]), "matrix entry 0.1 is not an integer"),
         (lambda: ExactMatrix.from_rows(5), "matrix: expected a sequence, got 5"),
         (lambda: ExactMatrix.from_rows([5]), "matrix entry: expected a sequence, got 5"),
-        (lambda: ExactMatrix(1, 1, 5), "matrix: expected a sequence, got 5"),
         (lambda: Collection(projective_plane(), ()), "collection must be non-empty"),
         (lambda: Collection(projective_plane(), (CurveSheaf(3),)), "curve ray 3 out of range"),
         (
@@ -159,9 +169,8 @@ NON_INTEGER_ENTRY_POINTS = {
     "Quiver": lambda x: Quiver(2, ((0, x),)),
     "check_table_case": lambda x: check_table_case(P2, (1, x, 1), (1,), (2,)),
     "obstruction_report": lambda x: obstruction_report([[1, x], [0, 1]]),
-    "ExactMatrix rows": lambda x: ExactMatrix(x, 2, ((1, 2), (3, 4))),
-    "ExactMatrix cols": lambda x: ExactMatrix(2, x, ((1, 2), (3, 4))),
     "ExactMatrix entry": lambda x: ExactMatrix.from_rows([[1, x], [0, 1]]),
+    "ExactMatrix row from a generator": lambda x: ExactMatrix.from_rows([(c for c in (1, x)), (0, 1)]),
     "chi_minus": lambda x: chi_minus([[1, x], [0, 1]]),
     "chi_plus": lambda x: chi_plus([[1, x], [0, 1]]),
     "p1_cohomology": p1_cohomology,
