@@ -19,13 +19,15 @@ toric coh and for every vector of the search box, and over every
 difference of two line bundles for verify), solve-abc --max above
 cli.SOLVE_ABC_BOUND = 10000, and reproduce --m-max above
 cli.REPRODUCE_M_MAX_BOUND = 40;
-3 an internal error (a failed exact identity, or input nested too deeply
-to read), reported as one line on stderr and never as a verdict.
+3 an internal error (a failed exact identity, input nested too deeply
+to read, or a report that could not be written), reported as one line on
+stderr and never as a verdict.
 verify --strong also reports the quiver data abc of every strong 3-object
 collection, whether its objects are line bundles, curve sheaves or both.
 Reports are printed to stdout with sorted keys, so identical inputs give
-byte-identical output; diagnostics go to stderr. A closed stdout loses the
-report but neither prints a traceback nor changes the exit code.
+byte-identical output; diagnostics go to stderr, best effort. A closed
+stdout pipe loses the report but neither prints a traceback nor changes the
+exit code; a full stdout exits 3; a closed or full stderr changes nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from pathlib import Path
 from . import __version__
 from .linalg import _echelon, _square_ints
 from .quivers import Quiver, obstruction_report
-from .toric import ConsistencyError, FanError, PRESETS, ToricSurface, preset, sub_divisors
+from .toric import ConsistencyError, PRESETS, ToricSurface, preset, sub_divisors
 from .exceptional import (
     Collection,
     CurveSheaf,
@@ -58,10 +60,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
-
-
-class InputError(Exception):
-    pass
 
 
 # Most quiver vertices, Gram rows, collection objects or fan rays read from
@@ -95,18 +93,18 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}")
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}")
+        raise ValueError(f"invalid JSON in {path}: {exc}")
 
 
 def _field(data, key: str, kind: str):
     """data[key], where data must be a JSON object with that key; kind names
     the object in the message."""
     if not isinstance(data, dict) or key not in data:
-        raise InputError(f"{kind} JSON must be an object with the key {key!r}")
+        raise ValueError(f"{kind} JSON must be an object with the key {key!r}")
     return data[key]
 
 
@@ -116,36 +114,38 @@ def _ints(value, what: str, depth: int = 1):
     rejected rather than converted."""
     shaped = type(value) is int if depth == 0 else isinstance(value, list)
     if not shaped:
-        raise InputError(f"{what}: expected {_SHAPES[depth]}, got {value!r}")
+        raise ValueError(f"{what}: expected {_SHAPES[depth]}, got {value!r}")
     if depth:
         for x in value:
             _ints(x, what, depth - 1)
     return value
 
 
+def _at_most(count: int, bound: int, what: str, unit: str = "") -> None:
+    if count > bound:
+        raise ValueError(f"{what} is limited to {bound}{unit and ' ' + unit}, got {count}")
+
+
 def _read_fan(data) -> ToricSurface:
     rays = _ints(_field(data, "rays", "fan"), "fan rays", 2)
-    if len(rays) > JSON_VERTEX_BOUND:
-        raise InputError(f"fan JSON is limited to {JSON_VERTEX_BOUND} rays, got {len(rays)}")
+    _at_most(len(rays), JSON_VERTEX_BOUND, "fan JSON", "rays")
     return ToricSurface(rays)
 
 
 def _read_quiver(data) -> Quiver:
     vertices = _ints(_field(data, "vertices", "quiver"), "quiver vertices", 0)
     arrows = _ints(_field(data, "arrows", "quiver"), "quiver arrows", 2)
-    if vertices > JSON_VERTEX_BOUND:
-        raise InputError(f"quiver JSON is limited to {JSON_VERTEX_BOUND} vertices, got {vertices}")
+    _at_most(vertices, JSON_VERTEX_BOUND, "quiver JSON", "vertices")
     return Quiver(vertices, arrows)
 
 
 def _read_gram(data) -> tuple:
     rows = _ints(_field(data, "gram", "Gram-matrix"), "Gram matrix", 2)
-    if len(rows) > JSON_VERTEX_BOUND:
-        raise InputError(f"Gram JSON is limited to {JSON_VERTEX_BOUND} rows, got {len(rows)}")
+    _at_most(len(rows), JSON_VERTEX_BOUND, "Gram JSON", "rows")
     rows = _square_ints(rows, "Gram matrix")
     det = _echelon([list(row) for row in rows])[1]
     if det not in (1, -1):
-        raise InputError(f"Gram matrix must be unimodular, but its determinant is {det}")
+        raise ValueError(f"Gram matrix must be unimodular, but its determinant is {det}")
     return rows
 
 
@@ -154,7 +154,7 @@ def _read_divisor(surface: ToricSurface, data):
     coordinates."""
     if isinstance(data, dict):
         if set(data) != {"pic"}:
-            raise InputError("divisor object must have exactly the key 'pic'")
+            raise ValueError("divisor object must have exactly the key 'pic'")
         return surface.lift_pic(_ints(data["pic"], "divisor 'pic'"))
     return _ints(data, "divisor")
 
@@ -163,13 +163,12 @@ def _read_collection(data) -> Collection:
     surface = _read_fan(_field(data, "fan", "collection"))
     entries = _field(data, "objects", "collection")
     if not isinstance(entries, list):
-        raise InputError(f"collection 'objects' must be a list, got {entries!r}")
-    if len(entries) > JSON_VERTEX_BOUND:
-        raise InputError(f"collection JSON is limited to {JSON_VERTEX_BOUND} objects, got {len(entries)}")
+        raise ValueError(f"collection 'objects' must be a list, got {entries!r}")
+    _at_most(len(entries), JSON_VERTEX_BOUND, "collection JSON", "objects")
     objects = []
     for entry in entries:
         if not isinstance(entry, dict) or len(entry) != 1:
-            raise InputError(f"collection object must have exactly one key: {entry!r}")
+            raise ValueError(f"collection object must have exactly one key: {entry!r}")
         (kind, value), = entry.items()
         if kind == "curve_ray":
             objects.append(CurveSheaf(_ints(value, "curve ray", 0)))
@@ -177,7 +176,7 @@ def _read_collection(data) -> Collection:
             coeffs = _ints(value, f"collection {kind!r}")
             objects.append(LineBundle(surface.lift_pic(coeffs) if kind == "line_pic" else coeffs))
         else:
-            raise InputError(f"unknown collection object kind {kind!r}")
+            raise ValueError(f"unknown collection object kind {kind!r}")
     return Collection(surface, tuple(objects))
 
 
@@ -188,84 +187,69 @@ def _load_fan(arg: str) -> ToricSurface:
     return _read_fan(_load_json(arg))
 
 
-def _report(command: str, payload: dict, ok: bool = True) -> dict:
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
-        "result": payload,
-        "pass": ok,
-    }
-
-
-def _emit(report: dict) -> None:
+def _write(stream, text: str) -> OSError | None:
+    """Write and flush text; the OSError of a failed write, else None. A
+    failed write (a closed pipe, a full disk) points the stream's descriptor
+    at devnull, so that no later write nor the flush at exit can raise."""
+    if stream is None:  # the descriptor was closed before Python started
+        return None
     try:
-        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
-    except BrokenPipeError:
-        # the reader closed stdout early (`| head`): point stdout at devnull
-        # so that the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc
 
 
-def cmd_obstruct(args) -> int:
+def cmd_obstruct(args) -> tuple:
     data = _load_json(args.input)
     if not isinstance(data, dict):
-        raise InputError("expected a JSON object")
+        raise ValueError("expected a JSON object")
     if ("gram" in data) == ("vertices" in data or "arrows" in data):
-        raise InputError("input must contain exactly one of a quiver ('vertices'/'arrows') and 'gram'")
+        raise ValueError("input must contain exactly one of a quiver ('vertices'/'arrows') and 'gram'")
     report = obstruction_report(_read_gram(data) if "gram" in data else _read_quiver(data))
-    payload = {**report._asdict(), "passes": report.passes}
-    _emit(_report("obstruct", payload, ok=report.passes))
-    return EXIT_OK if report.passes else EXIT_VERIFY_FAILED
+    return {**report._asdict(), "passes": report.passes}, report.passes
 
 
 def _limit_lattice_tests(command: str, what: str, tests: int) -> None:
     if tests > LATTICE_TEST_BOUND:
-        raise InputError(
+        raise ValueError(
             f"{command} would test {tests} lattice inequalities for {what}; "
             f"the limit is {LATTICE_TEST_BOUND}"
         )
 
 
-def cmd_toric(args) -> int:
+def cmd_toric(args) -> tuple:
     if args.subcommand == "knum" and args.divisor is not None:
-        raise InputError("toric knum takes no divisor (-d)")
+        raise ValueError("toric knum takes no divisor (-d)")
     surface = _load_fan(args.fan)
     if args.subcommand == "coh":
         if args.divisor is None:
-            raise InputError("toric coh needs a divisor (-d)")
+            raise ValueError("toric coh needs a divisor (-d)")
         try:
             raw_divisor = json.loads(args.divisor)
         except json.JSONDecodeError as exc:
-            raise InputError(f"invalid divisor JSON: {exc}")
+            raise ValueError(f"invalid divisor JSON: {exc}")
         divisor = surface._check_divisor(_read_divisor(surface, raw_divisor))
         _limit_lattice_tests("toric coh", "D and K - D", surface._coh_lattice_tests(divisor))
-        coh = surface.cohomology(divisor)
-        payload = {
-            "rays": [list(r) for r in surface.rays],
-            "divisor": list(divisor),
-            "h": list(coh),
-            "chi": surface.rr_chi(divisor),
-        }
-        _emit(_report("toric coh", payload))
-        return EXIT_OK
+        h, chi = surface.cohomology(divisor), surface.rr_chi(divisor)
+        return {"rays": surface.rays, "divisor": divisor, "h": h, "chi": chi}, True
     gram = surface.knum_gram()
     report = obstruction_report(gram)
     payload = {
-        "rays": [list(r) for r in surface.rays],
+        "rays": surface.rays,
         "picard_rank": surface.picard_rank,
         "basis": ["point"]
         + [f"curve_ray_{i}" for i in range(surface.picard_rank)]
         + ["structure_sheaf"],
         "gram": gram,
         "rank_chi_minus": report.rank_chi_minus,
-        "signature_chi_plus": list(report.signature_chi_plus),
+        "signature_chi_plus": report.signature_chi_plus,
     }
-    _emit(_report("toric knum", payload))
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     data = _load_json(args.input)
     collection = _read_collection(data)
     surface = collection.surface
@@ -282,30 +266,23 @@ def cmd_verify(args) -> int:
         "objects": len(collection),
         "strong": args.strong,
         "ok": result.ok,
-        "hom": [[list(t) for t in row] for row in result.hom],
+        "hom": result.hom,
     }
     if result.failure is not None:
-        payload["failure"] = {
-            "i": result.failure.i,
-            "j": result.failure.j,
-            "ext": list(result.failure.ext),
-            "reason": result.failure.reason,
-            "detail": result.failure.describe(),
-        }
+        payload["failure"] = {**result.failure._asdict(), "detail": result.failure.describe()}
     if result.ok and args.strong and len(collection) == 3:
         try:
-            payload["abc"] = list(abc_of(collection))
+            payload["abc"] = abc_of(collection)
         except ValueError as exc:
             payload["abc_error"] = str(exc)
-    _emit(_report("verify", payload, ok=result.ok))
-    return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
+    return payload, result.ok
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple:
     surface = _load_fan(args.fan)
     box = (2 * args.bound + 1) ** surface.picard_rank
     if args.bound >= 0 and box > SEARCH_BOX_BOUND:
-        raise InputError(
+        raise ValueError(
             f"search box (2 * {args.bound} + 1)^{surface.picard_rank} has {box} points; "
             f"the limit is {SEARCH_BOX_BOUND}"
         )
@@ -314,36 +291,27 @@ def cmd_search(args) -> int:
     _limit_lattice_tests("search", "the box", sum(surface._coh_lattice_tests(v + (0, 0)) for v in vectors))
     outcome = search_abc(surface, args.a, args.b, args.c, bound=args.bound)
     payload = {
-        "triple": list(outcome.triple),
+        "triple": outcome.triple,
         "bound": args.bound,
-        "pairs": [[list(d), list(e)] for d, e in outcome.pairs],
+        "pairs": outcome.pairs,
         "count": len(outcome.pairs),
     }
     if outcome.diagnostic:
         payload["diagnostic"] = outcome.diagnostic
-    _emit(_report("search", payload))
-    return EXIT_OK
+    return payload, True
 
 
-def cmd_solve_abc(args) -> int:
-    if args.max > SOLVE_ABC_BOUND:
-        raise InputError(f"solve-abc --max is limited to {SOLVE_ABC_BOUND}, got {args.max}")
-    payload = {
-        "max": args.max,
-        "solutions": [list(t) for t in solve_abc(args.max)],
-    }
-    _emit(_report("solve-abc", payload))
-    return EXIT_OK
+def cmd_solve_abc(args) -> tuple:
+    _at_most(args.max, SOLVE_ABC_BOUND, "solve-abc --max")
+    return {"max": args.max, "solutions": solve_abc(args.max)}, True
 
 
-def cmd_reproduce(args) -> int:
-    if args.m_max > REPRODUCE_M_MAX_BOUND:
-        raise InputError(f"reproduce --m-max is limited to {REPRODUCE_M_MAX_BOUND}, got {args.m_max}")
+def cmd_reproduce(args) -> tuple:
+    _at_most(args.m_max, REPRODUCE_M_MAX_BOUND, "reproduce --m-max")
     report = run_all(m_max=args.m_max, seed=args.seed)
-    for name, ok in report["summary"].items():
-        print(f"{name}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
-    _emit(_report("reproduce", report, ok=report["pass"]))
-    return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
+    lines = (f"{name}: {'PASS' if ok else 'FAIL'}\n" for name, ok in report["summary"].items())
+    _write(sys.stderr, "".join(lines))
+    return report, report["pass"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,16 +366,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, write its report to stdout and return the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, FanError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        payload, ok = args.func(args)
+    except ValueError as exc:  # FanError included
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     except (ConsistencyError, RecursionError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL_ERROR
+    report = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": f"toric {args.subcommand}" if args.command == "toric" else args.command,
+        "result": payload,
+        "pass": ok,
+    }
+    failure = _write(sys.stdout, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    # a reader that left early (`| head`) keeps the verdict; a full disk does not
+    if failure is not None and not isinstance(failure, BrokenPipeError):
+        _write(sys.stderr, f"internal error: cannot write the report: {failure.strerror}\n")
+        return EXIT_INTERNAL_ERROR
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

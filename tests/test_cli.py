@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_json(tmp_path, name, payload):
@@ -103,20 +111,99 @@ def test_closed_stdout_keeps_exit_code_without_traceback(tmp_path, arrows, expec
     path = write_json(tmp_path, "q.json", {"vertices": vertices, "arrows": arrows})
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the report is written
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "quivsurf", "obstruct", path],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=subprocess_env(),
             timeout=60,
         )
     finally:
         os.close(write_end)
     assert proc.returncode == expected_code
     assert proc.stderr == b""
+
+
+class FailingStream:
+    """A text stream on its own descriptor whose every write raises error."""
+
+    def __init__(self, path, error):
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv, verdict", [(["solve-abc", "--max", "1"], 0), (["obstruct", "a5.json"], 1)])
+def test_unwritable_report_is_an_internal_error(tmp_path, capsys, monkeypatch, argv, verdict):
+    # a full disk exits 3 with one line, never the verdict; a reader that
+    # left early (a broken pipe) drops the report and keeps the verdict
+    write_json(tmp_path, "a5.json", COMMAND_INPUTS["a5.json"])
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    full = OSError(errno.ENOSPC, "No space left on device")
+    for error, code, message in (
+        (full, 3, "internal error: cannot write the report: No space left on device\n"),
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), verdict, ""),
+    ):
+        stream = FailingStream(tmp_path / "stdout", error)
+        monkeypatch.setattr("sys.stdout", stream)
+        try:
+            assert run_cli(capsys, *argv)[::2] == (code, message)
+            os.write(stream.fd, b"late")  # the descriptor now points at devnull
+        finally:
+            os.close(stream.fd)
+        assert (tmp_path / "stdout").read_bytes() == b""
+
+
+@pytest.mark.parametrize("argv, code", [(["obstruct", "missing.json"], 2), (["reproduce", "--m-max", "1"], 0)])
+def test_unwritable_stderr_keeps_exit_code_and_report(tmp_path, capsys, monkeypatch, argv, code):
+    # the error line and the per-item lines are lost; the code and report are not
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    stream = FailingStream(tmp_path / "stderr", OSError(errno.EBADF, "Bad file descriptor"))
+    monkeypatch.setattr("sys.stderr", stream)
+    try:
+        got, out = main(argv), capsys.readouterr().out
+    finally:
+        os.close(stream.fd)
+    assert got == code
+    if code == 2:
+        assert out == ""
+    else:
+        assert json.loads(out)["pass"] is True
+
+
+def test_report_on_a_full_device_exits_3():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivsurf", "solve-abc", "--max", "1"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=subprocess_env(),
+            timeout=60,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr == b"internal error: cannot write the report: No space left on device\n"
+
+
+@pytest.mark.parametrize("argv, code", [(["obstruct", "missing.json"], 2), (["reproduce", "--m-max", "1"], 0)])
+def test_closed_stderr_keeps_exit_code_and_report(tmp_path, argv, code):
+    command = shlex.join([sys.executable, "-m", "quivsurf", *argv]) + " 2>&-"
+    proc = subprocess.run(
+        ["sh", "-c", command], cwd=tmp_path, stdout=subprocess.PIPE, env=subprocess_env(), timeout=60
+    )
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == b""
+    else:
+        report = json.loads(proc.stdout)
+        assert (report["command"], report["pass"]) == ("reproduce", True)
 
 
 def test_cold_import_loads_no_dataclasses_or_inspect():
@@ -128,10 +215,8 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
         "import sys; before = set(sys.modules); import quivsurf.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=60, check=True
     )
     new = set(proc.stdout.split())
     layers = ("cli", "exceptional", "linalg", "quivers", "reproduce", "toric")
@@ -293,6 +378,46 @@ def test_toric_knum_presets_are_pinned(capsys):
         assert code == 0
         digest.update(out.encode("utf-8"))
     assert digest.hexdigest() == KNUM_PRESETS_SHA256
+
+
+# sha256 over the exit code and stdout of one or two calls of each other
+# command, in this order: obstruct on a quiver and a Gram matrix, two toric
+# coh, a passing and a failing verify, two search and solve-abc.
+COMMAND_INPUTS = {
+    "a5.json": {"vertices": 5, "arrows": [[i, i + 1] for i in range(4)]},
+    "gram.json": OBSTRUCT_RESULTS["five-vertex Gram"][0],
+    "strong.json": {
+        "fan": {"rays": [[1, 0], [0, 1], [-1, 0], [-1, -1], [0, -1]]},
+        "objects": [{"line": [0, 0, 0, 0, 0]}, {"line_pic": [1, 0, -1]}, {"line_pic": [1, 0, 0]}],
+    },
+    "backward.json": {
+        "fan": {"rays": [[1, 0], [0, 1], [-1, -1]]},
+        "objects": [{"line": [0, 0, 0]}, {"line": [-1, 0, 0]}],
+    },
+}
+COMMAND_CALLS = (
+    ("obstruct", "a5.json"),
+    ("obstruct", "gram.json"),
+    ("toric", "coh", "P2", "-d", "[2, 0, 0]"),
+    ("toric", "coh", "dP6", "-d", '{"pic": [0, 0, 0, 1]}'),
+    ("verify", "strong.json", "--strong"),
+    ("verify", "backward.json", "--strong"),
+    ("search", "dP6", "1", "3", "1", "--bound", "1"),
+    ("search", "P1xP1", "3", "2", "0", "--bound", "1"),
+    ("solve-abc", "--max", "4"),
+)
+COMMANDS_SHA256 = "0af5cca2bcbe758574e1f36ccdca49a5672f48d77d1cf11ee3373e9ea2d85498"
+
+
+def test_command_outputs_are_pinned(tmp_path, capsys):
+    for name, payload in COMMAND_INPUTS.items():
+        write_json(tmp_path, name, payload)
+    digest = hashlib.sha256()
+    for call in COMMAND_CALLS:
+        argv = [str(tmp_path / a) if a in COMMAND_INPUTS else a for a in call]
+        code, out, _ = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode("utf-8"))
+    assert digest.hexdigest() == COMMANDS_SHA256
 
 
 def test_stdin_input(capsys, monkeypatch):
