@@ -7,7 +7,8 @@ Exit codes: 0 success (and, for verifying commands, all checks passed);
 1 a verification gave a negative verdict; 2 malformed or invalid input,
 including JSON numbers that are not plain integers, negative bounds,
 negative search arrow counts, a divisor given to toric knum, an input
-file that cannot be read (a directory, say), obstruct input with both
+file that cannot be read (a directory, say, or '-' with standard input
+closed), obstruct input with both
 a quiver and a Gram matrix, quiver JSON with more than
 cli.JSON_VERTEX_BOUND = 100 vertices, Gram JSON with more than 100 rows,
 collection JSON with more than 100 objects or fan JSON with more than 100
@@ -19,9 +20,10 @@ toric coh and for every vector of the search box, and over every
 difference of two line bundles for verify), solve-abc --max above
 cli.SOLVE_ABC_BOUND = 10000, and reproduce --m-max above
 cli.REPRODUCE_M_MAX_BOUND = 40;
-3 an internal error (a failed exact identity, input nested too deeply
-to read, or a report that could not be written), reported as one line on
-stderr and never as a verdict.
+3 an internal error (any exception other than an input error: a failed
+exact identity, input nested too deeply to read, a bug; or a report that
+could not be written), reported as one line on stderr and never as a
+verdict.
 verify --strong also reports the quiver data abc of every strong 3-object
 collection, whether its objects are line bundles, curve sheaves or both.
 Reports are printed to stdout with sorted keys, so identical inputs give
@@ -42,7 +44,7 @@ from pathlib import Path
 from . import __version__
 from .linalg import _echelon, _square_ints
 from .quivers import Quiver, obstruction_report
-from .toric import ConsistencyError, PRESETS, ToricSurface, preset, sub_divisors
+from .toric import PRESETS, ToricSurface, preset, sub_divisors
 from .exceptional import (
     Collection,
     CurveSheaf,
@@ -88,6 +90,8 @@ _SHAPES = ("an integer", "a list of integers", "a list of integer lists")
 
 
 def _load_json(path: str):
+    if path == "-" and sys.stdin is None:  # fd 0 was closed before Python started
+        raise ValueError("cannot read -: standard input is closed")
     try:
         if path == "-":
             return json.load(sys.stdin)
@@ -373,7 +377,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # FanError included
         _write(sys.stderr, f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    except (ConsistencyError, RecursionError) as exc:
+    except Exception as exc:  # ConsistencyError, RecursionError, a bug
         _write(sys.stderr, f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL_ERROR
     report = {

@@ -155,7 +155,9 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
     and Pfaffian expansion descends through nonzero principal Pfaffians to
     a nonsingular principal 4x4 minor. Returns None when rank(chi^-) <= 2.
     chi^- is built by _chi from the int rows of E, so each minor is cut
-    from ints and reaches rank_rational through the unchecked
+    from ints, by one operator.itemgetter per subset that picks the rows
+    and then the entries of each row as tuples of four, which _of keeps
+    as they are, and reaches rank_rational through the unchecked
     ExactMatrix._of, like the forms of obstruction_report.
     """
     if q.vertices > SUBQUIVER_BOUND:
@@ -165,7 +167,8 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
         )
     m = _chi(euler_matrix_simples(q), operator.sub)
     for subset in itertools.combinations(range(q.vertices), 4):
-        if rank_rational(ExactMatrix._of([[m[i][j] for j in subset] for i in subset])) > 2:
+        pick = operator.itemgetter(*subset)
+        if rank_rational(ExactMatrix._of([pick(row) for row in pick(m)])) > 2:
             return subset
     return None
 

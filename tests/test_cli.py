@@ -602,6 +602,28 @@ def test_consistency_error_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: ConsistencyError: Riemann-Roch parity failed\n"
 
 
+def test_any_other_exception_is_an_internal_error(capsys, monkeypatch):
+    # a bug is one line and exit 3, never a traceback with the verdict code 1
+    def broken(args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "cmd_solve_abc", broken)
+    code, out, err = run_cli(capsys, "solve-abc", "--max", "1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: TypeError: unsupported operand\n"
+
+
+@pytest.mark.parametrize("argv", [["obstruct", "-"], ["toric", "knum", "-"]])
+def test_closed_stdin_is_an_input_error(tmp_path, argv):
+    # with fd 0 closed sys.stdin is None: one error line and exit 2
+    command = shlex.join([sys.executable, "-m", "quivsurf", *argv]) + " <&-"
+    proc = subprocess.run(
+        ["sh", "-c", command], cwd=tmp_path, capture_output=True, env=subprocess_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: cannot read -: standard input is closed\n"
+
+
 def test_obstruct_limits_quiver_json_vertices(tmp_path, capsys):
     path = write_json(tmp_path, "big.json", {"vertices": 101, "arrows": []})
     code, out, err = run_cli(capsys, "obstruct", path)

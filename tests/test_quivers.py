@@ -231,16 +231,20 @@ WORST_CASE = Quiver(15, ((11, 12), (12, 13), (13, 14)))
 
 
 def test_worst_case_scan_ranks_each_minor_unchecked(monkeypatch):
-    # one rank per scanned subset, and no minor goes through the entry
-    # check of ExactMatrix.from_rows
+    # one rank per scanned subset, each of the principal minor of chi^- on
+    # that subset in lexicographic order, and no minor goes through the
+    # entry check of ExactMatrix.from_rows
     assert witness_by_pfaffian(WORST_CASE) == (11, 12, 13, 14)
     calls = {"rank_rational": 0, "_int_rows": 0}
+    minors = []
 
     def count(module, name):
         inner = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
+            if name == "rank_rational":
+                minors.append(args[0].entries)
             return inner(*args)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -249,6 +253,12 @@ def test_worst_case_scan_ranks_each_minor_unchecked(monkeypatch):
     count(linalg, "_int_rows")
     assert forbidden_full_subquiver(WORST_CASE) == (11, 12, 13, 14)
     assert calls == {"rank_rational": 1365, "_int_rows": 0}
+    m = chi_minus(euler_matrix_simples(WORST_CASE))
+    expected = [
+        tuple(tuple(m[i][j] for j in subset) for i in subset)
+        for subset in itertools.combinations(range(15), 4)
+    ]
+    assert minors == expected
 
 
 def test_chi_minus_principal_minor_is_induced_subquiver_chi_minus():
