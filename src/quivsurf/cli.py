@@ -49,7 +49,7 @@ from .exceptional import (
     Collection,
     CurveSheaf,
     LineBundle,
-    abc_of,
+    _abc,
     search_abc,
     solve_abc,
     verify_collection,
@@ -236,7 +236,7 @@ def cmd_toric(args) -> tuple:
             raise ValueError(f"invalid divisor JSON: {exc}")
         divisor = surface._check_divisor(_read_divisor(surface, raw_divisor))
         _limit_lattice_tests("toric coh", "D and K - D", surface._coh_lattice_tests(divisor))
-        h, chi = surface.cohomology(divisor), surface.rr_chi(divisor)
+        h, chi = surface._coh(divisor), surface._chi(divisor)
         return {"rays": surface.rays, "divisor": divisor, "h": h, "chi": chi}, True
     gram = surface.knum_gram()
     report = obstruction_report(gram)
@@ -276,7 +276,7 @@ def cmd_verify(args) -> tuple:
         payload["failure"] = {**result.failure._asdict(), "detail": result.failure.describe()}
     if result.ok and args.strong and len(collection) == 3:
         try:
-            payload["abc"] = abc_of(collection)
+            payload["abc"] = _abc(result)
         except ValueError as exc:
             payload["abc_error"] = str(exc)
     return payload, result.ok

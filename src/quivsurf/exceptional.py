@@ -55,7 +55,7 @@ class Collection(FrozenValue):
             raise ValueError("collection must be non-empty")
         for obj in objects:
             if isinstance(obj, LineBundle):
-                surface._check_divisor(obj.divisor)
+                surface._check_length(obj.divisor)
             elif isinstance(obj, CurveSheaf):
                 _as_int(obj.ray, "curve ray", 0, surface.n_rays - 1)
             else:
@@ -67,7 +67,7 @@ class Collection(FrozenValue):
 
 
 def line_collection(surface: ToricSurface, divisors: Sequence[Sequence[int]]) -> Collection:
-    return Collection(surface, tuple(LineBundle(tuple(d)) for d in divisors))
+    return Collection(surface, tuple(LineBundle(d) for d in divisors))
 
 
 def ext_dims(c: Collection, i: int, j: int) -> tuple:
@@ -75,7 +75,7 @@ def ext_dims(c: Collection, i: int, j: int) -> tuple:
     s, last = c.surface, len(c) - 1
     x, y = c.objects[_as_int(i, "object", 0, last)], c.objects[_as_int(j, "object", 0, last)]
     if isinstance(x, LineBundle) and isinstance(y, LineBundle):
-        return tuple(s.cohomology(sub_divisors(y.divisor, x.divisor)))
+        return tuple(s._coh(sub_divisors(y.divisor, x.divisor)))
     if isinstance(x, LineBundle) and isinstance(y, CurveSheaf):
         return s.ext_line_to_curve(x.divisor, y.ray)
     if isinstance(x, CurveSheaf) and isinstance(y, LineBundle):
@@ -136,18 +136,18 @@ def abc_of(c: Collection) -> tuple:
     endomorphism quiver, with c corrected for composite paths."""
     if len(c) != 3:
         raise ValueError("abc is defined for 3-object collections")
-    result = verify_collection(c, strong=True)
+    return _abc(verify_collection(c, strong=True))
+
+
+def _abc(result: VerifyResult) -> tuple:
+    """abc_of read from the strong verification of a 3-object collection."""
     if not result.ok:
-        raise ValueError(
-            f"collection is not strong exceptional ({result.failure.describe()})"
-        )
+        raise ValueError(f"collection is not strong exceptional ({result.failure.describe()})")
     hom = result.forward_hom()
     a, b = hom[0][1], hom[1][2]
     composite = hom[0][2] - a * b
     if composite < 0:
-        raise ValueError(
-            f"relations present: hom(0,2)={hom[0][2]} is smaller than a*b={a * b}"
-        )
+        raise ValueError(f"relations present: hom(0,2)={hom[0][2]} is smaller than a*b={a * b}")
     return (a, b, composite)
 
 
@@ -401,11 +401,11 @@ def check_table_case(
     pairs = (("D", "-D", d, a), ("E-D", "D-E", sub_divisors(e, d), b), ("E", "-E", e, a * b + c))
     failures = []
     for label, neg_label, divisor, expected in pairs:
-        if pair_hom(surface, divisor) != expected:
+        if _pair_hom(surface, divisor) != expected:
             failures.append(
                 f"(O, O({label})) is not a strong exceptional pair with {expected} morphisms: "
-                f"O({label}) has cohomology {tuple(surface.cohomology(divisor))}, "
-                f"O({neg_label}) has {tuple(surface.cohomology(neg_divisor(divisor)))}"
+                f"O({label}) has cohomology {tuple(surface._coh(divisor))}, "
+                f"O({neg_label}) has {tuple(surface._coh(neg_divisor(divisor)))}"
             )
     return tuple(failures)
 

@@ -61,21 +61,19 @@ class Quiver(FrozenValue):
             raise ValueError("quiver has an oriented cycle")
 
     def topological_order(self) -> Optional[tuple]:
-        """Kahn's algorithm; None if the quiver is cyclic."""
+        """A topological order, or None if cyclic: the sources in index order,
+        then breadth first, by Kahn's algorithm in one walk of the arrows."""
         indeg = [0] * self.vertices
-        for _, t in self.arrows:
+        targets = [[] for _ in range(self.vertices)]
+        for s, t in self.arrows:
             indeg[t] += 1
-        ready = sorted(v for v in range(self.vertices) if indeg[v] == 0)
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for s, t in self.arrows:
-                if s == v:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        ready.append(t)
-            ready.sort()
+            targets[s].append(t)
+        order = [v for v in range(self.vertices) if not indeg[v]]
+        for v in order:
+            for t in targets[v]:
+                indeg[t] -= 1
+                if not indeg[t]:
+                    order.append(t)
         return tuple(order) if len(order) == self.vertices else None
 
     def is_sink(self, v: int) -> bool:

@@ -315,8 +315,7 @@ def solver_item() -> dict:
                 surface,
                 [surface.zero_divisor(), surface.lift_pic(d_pic), surface.lift_pic(e_pic)],
             )
-            got = abc_of(coll)
-            if got != (a, b, c) or got[0] + got[1] != got[0] * got[1] + got[2]:
+            if abc_of(coll) != (a, b, c):
                 search_consistent = False
         search_detail.append(
             {"triple": [a, b, c], "bound": bound, "pairs_found": len(outcome.pairs)}

@@ -116,7 +116,7 @@ class ToricSurface:
         for r in rays:
             if len(r) != 2:
                 raise FanError(f"ray {r} is not a lattice vector in Z^2")
-            if r == (0, 0) or math.gcd(abs(r[0]), abs(r[1])) != 1:
+            if math.gcd(*r) != 1:  # gcd(0, 0) is 0
                 raise FanError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise FanError("duplicate rays")
@@ -161,8 +161,11 @@ class ToricSurface:
         return (0,) * len(self.rays)
 
     def ray_divisor(self, i: int) -> tuple:
-        i = _as_int(i, "ray", 0, len(self.rays) - 1)
+        i = self._ray(i)
         return tuple([int(j == i) for j in range(len(self.rays))])
+
+    def _ray(self, i: int) -> int:
+        return _as_int(i, "ray", 0, len(self.rays) - 1)
 
     def _check_divisor(self, d: Sequence[int]) -> tuple:
         """d as a tuple of ints of the fan's length: the one conversion at
@@ -383,16 +386,14 @@ class ToricSurface:
         """Ext^*(O(A), O_C) for the invariant curve C of one ray: the
         cohomology of O(-A.C) on that rational curve."""
         a = self._check_divisor(a)
-        h0, h1 = p1_cohomology(-self.intersect(a, self.ray_divisor(ray)))
+        h0, h1 = p1_cohomology(-self._ray_products(a)[self._ray(ray)])
         return (h0, h1, 0)
 
     def ext_curve_to_line(self, ray: int, a: Sequence[int]) -> tuple:
         """Ext^*(O_C, O(A)) by Serre duality on the surface: the dual of
         H^(2-*) of O((K-A).C) on the curve."""
         a = self._check_divisor(a)
-        h0, h1 = p1_cohomology(
-            self.intersect(sub_divisors(self.canonical, a), self.ray_divisor(ray))
-        )
+        h0, h1 = p1_cohomology(self._ray_products(sub_divisors(self.canonical, a))[self._ray(ray)])
         return (0, h1, h0)
 
     def ext_curve_pair(self, ray_i: int, ray_j: int) -> tuple:
@@ -405,8 +406,7 @@ class ToricSurface:
         transversally in one point p: the only nonzero Ext sheaf is
         Ext^1(O_C, O_C') = O_p, giving (0, 1, 0). Other pairs are disjoint.
         """
-        n = len(self.rays)
-        ray_i, ray_j = _as_int(ray_i, "ray", 0, n - 1), _as_int(ray_j, "ray", 0, n - 1)
+        n, ray_i, ray_j = len(self.rays), self._ray(ray_i), self._ray(ray_j)
         if ray_i == ray_j:
             return (1,) + p1_cohomology(self.self_intersections[ray_i])
         if (ray_j - ray_i) % n in (1, n - 1):

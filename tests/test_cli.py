@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quivsurf import cli
+from quivsurf import cli, exceptional
 from quivsurf.cli import main
 from quivsurf.exceptional import AbcSearchResult
 from quivsurf.quivers import Quiver, obstruction_report
@@ -596,7 +596,8 @@ def test_consistency_error_is_an_internal_error(capsys, monkeypatch):
     def broken(self, d):
         raise ConsistencyError("Riemann-Roch parity failed")
 
-    monkeypatch.setattr(ToricSurface, "cohomology", broken)
+    # toric coh reads the cohomology of its checked divisor through _coh
+    monkeypatch.setattr(ToricSurface, "_coh", broken)
     code, out, err = run_cli(capsys, "toric", "coh", "P2", "-d", "[1, 0, 0]")
     assert (code, out) == (3, "")
     assert err == "internal error: ConsistencyError: Riemann-Roch parity failed\n"
@@ -632,6 +633,17 @@ def test_obstruct_limits_quiver_json_vertices(tmp_path, capsys):
     path = write_json(tmp_path, "edge.json", {"vertices": 100, "arrows": [[0, 99]]})
     code, out, _ = run_cli(capsys, "obstruct", path)
     assert code == 0 and json.loads(out)["result"]["rank_chi_minus"] == 2
+
+
+def test_obstruct_reads_an_arrow_heavy_quiver(tmp_path, capsys):
+    # the A100 chain with 2,000 copies of each arrow: 198,000 arrows within
+    # the vertex bound, each read once by the topological order
+    arrows = [[i, i + 1] for i in range(99) for _ in range(2000)]
+    path = write_json(tmp_path, "a100x2000.json", {"vertices": 100, "arrows": arrows})
+    code, out, _ = run_cli(capsys, "obstruct", path)
+    result = json.loads(out)["result"]
+    assert code == 1
+    assert (result["rank_chi_minus"], result["forbidden_witness"]) == (100, None)
 
 
 def test_obstruct_limits_gram_json_rows(tmp_path, capsys):
@@ -809,6 +821,68 @@ def test_verify_reports_abc_for_a_mixed_collection(tmp_path, capsys):
     assert code == 0
     assert result["ok"] is True
     assert result["abc"] == [1, 0, 1]
+
+
+# verify --strong on three line bundles: the P1xP1 triple (O, O(1,0), O(1,1))
+# has abc (2, 2, 0); the P2 triple (O, O(1), O(2)) has hom(0,2) = 6 < 3 * 3,
+# so its report carries abc_error instead
+STRONG_TRIPLES = {
+    "p1xp1.json": (
+        {
+            "fan": {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
+            "objects": [{"line_pic": [0, 0]}, {"line_pic": [1, 0]}, {"line_pic": [1, 1]}],
+        },
+        {
+            "abc": [2, 2, 0],
+            "hom": [
+                [[1, 0, 0], [2, 0, 0], [4, 0, 0]],
+                [[0, 0, 0], [1, 0, 0], [2, 0, 0]],
+                [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
+            ],
+        },
+    ),
+    "p2.json": (
+        {"fan": {"rays": [[1, 0], [0, 1], [-1, -1]]}, "objects": [{"line": [k, 0, 0]} for k in range(3)]},
+        {
+            "abc_error": "relations present: hom(0,2)=6 is smaller than a*b=9",
+            "hom": [
+                [[1, 0, 0], [3, 0, 0], [6, 0, 0]],
+                [[0, 0, 0], [1, 0, 0], [3, 0, 0]],
+                [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRONG_TRIPLES))
+def test_verify_strong_triple_stdout_is_pinned(tmp_path, capsys, name):
+    collection, result = STRONG_TRIPLES[name]
+    code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, name, collection), "--strong")
+    report = {
+        "command": "verify",
+        "pass": True,
+        "result": {**result, "objects": 3, "ok": True, "strong": True},
+        "schema": cli.SCHEMA,
+        "version": cli.__version__,
+    }
+    assert (code, out) == (0, json.dumps(report, sort_keys=True, indent=2) + "\n")
+
+
+def test_verify_strong_builds_one_ext_table(tmp_path, capsys, monkeypatch):
+    # abc is read from the verification that the report already holds
+    verify, calls = exceptional.verify_collection, []
+
+    def counted(collection, strong=True):
+        calls.append(strong)
+        return verify(collection, strong)
+
+    monkeypatch.setattr(exceptional, "verify_collection", counted)
+    monkeypatch.setattr(cli, "verify_collection", counted)
+    path = write_json(tmp_path, "p1xp1.json", STRONG_TRIPLES["p1xp1.json"][0])
+    code, out, _ = run_cli(capsys, "verify", path, "--strong")
+    assert code == 0 and json.loads(out)["result"]["abc"] == [2, 2, 0]
+    assert calls == [True]
 
 
 def test_verify_adjacent_curves_is_a_verdict(tmp_path, capsys):

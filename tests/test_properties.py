@@ -307,3 +307,19 @@ def test_four_vertex_witness_matches_pfaffian_scan(seed):
     keep = rng.choice((0.05, 0.2, 1.0))
     q = Quiver(q.vertices, tuple(a for a in q.arrows if rng.random() < keep))
     assert forbidden_full_subquiver(q) == witness_by_pfaffian(q)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(0, 3))
+def test_topological_order_puts_every_arrow_forward(seed, isolated):
+    # shuffled labels, up to three parallel copies of an arrow, the arrows
+    # in random order, and isolated vertices appended after them
+    rng = random.Random(seed)
+    q = random_acyclic_quiver(rng, 15)
+    arrows = [a for a in q.arrows for _ in range(rng.randint(1, 3))]
+    rng.shuffle(arrows)
+    q = Quiver(q.vertices + isolated, tuple(arrows))
+    order = q.topological_order()
+    assert sorted(order) == list(range(q.vertices))
+    position = {v: i for i, v in enumerate(order)}
+    assert all(position[s] < position[t] for s, t in q.arrows)

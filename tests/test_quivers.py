@@ -49,6 +49,30 @@ def test_rejects_cycles_and_loops():
         Quiver(2, ((0, 5),))
 
 
+def test_topological_order_is_sources_then_breadth_first():
+    # sources 1 and 3 in index order, then 4 (from 1) and 0 (from 3), then 2
+    assert Quiver(5, ((3, 0), (1, 4), (0, 2))).topological_order() == (1, 3, 4, 0, 2)
+    assert kronecker(3).topological_order() == (0, 1)
+    assert Quiver(3, ()).topological_order() == (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "arrows",
+    [
+        tuple((i, (i + 1) % 15) for i in range(15)),  # 0 -> 1 -> ... -> 14 -> 0
+        ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 3)),  # behind an acyclic prefix
+    ],
+)
+def test_long_and_late_cycles_are_rejected(arrows):
+    with pytest.raises(ValueError, match="^quiver has an oriented cycle$"):
+        Quiver(15, arrows)
+
+
+def test_loop_keeps_its_message():
+    with pytest.raises(ValueError, match=r"^loop at vertex 2: quiver must be acyclic$"):
+        Quiver(4, ((0, 1), (1, 2), (2, 2), (2, 3)))
+
+
 def test_euler_matrix_a2():
     assert euler_matrix_simples(linear_quiver(2)) == [[1, -1], [0, 1]]
 

@@ -130,6 +130,8 @@ def test_kclass_subtraction_rejects_mismatched_c1():
         (lambda: ExactMatrix.from_rows([[0.1]]), "matrix entry 0.1 is not an integer"),
         (lambda: ExactMatrix.from_rows(5), "matrix: expected a sequence, got 5"),
         (lambda: ExactMatrix.from_rows([5]), "matrix entry: expected a sequence, got 5"),
+        # math.gcd(0, 0) is 0, so the zero vector fails the primitivity test
+        (lambda: ToricSurface([(0, 0), (1, 0), (0, 1)]), "ray (0, 0) is not primitive"),
         (lambda: Collection(projective_plane(), ()), "collection must be non-empty"),
         (lambda: Collection(projective_plane(), (CurveSheaf(3),)), "curve ray 3 out of range"),
         (
