@@ -35,7 +35,6 @@ exit code; a full stdout exits 3; a closed or full stderr changes nothing.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -44,12 +43,13 @@ from pathlib import Path
 from . import __version__
 from .linalg import _echelon, _square_ints
 from .quivers import Quiver, obstruction_report
-from .toric import PRESETS, ToricSurface, preset, sub_divisors
+from .toric import PRESETS, ToricSurface, preset
 from .exceptional import (
     Collection,
     CurveSheaf,
     LineBundle,
     _abc,
+    _ext_lattice_tests,
     search_abc,
     solve_abc,
     verify_collection,
@@ -254,17 +254,8 @@ def cmd_toric(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
-    data = _load_json(args.input)
-    collection = _read_collection(data)
-    surface = collection.surface
-    lines = [obj.divisor for obj in collection.objects if isinstance(obj, LineBundle)]
-    # ext_dims counts the cohomology of E - D for every ordered pair of line
-    # bundles, each distinct difference once through the per-surface cache;
-    # curve sheaves scan nothing
-    differences = {sub_divisors(e, d) for d in lines for e in lines}
-    _limit_lattice_tests(
-        "verify", "the line-bundle differences", sum(map(surface._coh_lattice_tests, differences))
-    )
+    collection = _read_collection(_load_json(args.input))
+    _limit_lattice_tests("verify", "the line-bundle differences", _ext_lattice_tests(collection))
     result = verify_collection(collection, strong=args.strong)
     payload = {
         "objects": len(collection),
@@ -290,9 +281,7 @@ def cmd_search(args) -> tuple:
             f"search box (2 * {args.bound} + 1)^{surface.picard_rank} has {box} points; "
             f"the limit is {SEARCH_BOX_BOUND}"
         )
-    # the level sets count D and K - D for every vector of the box
-    vectors = itertools.product(range(-args.bound, args.bound + 1), repeat=surface.picard_rank)
-    _limit_lattice_tests("search", "the box", sum(surface._coh_lattice_tests(v + (0, 0)) for v in vectors))
+    _limit_lattice_tests("search", "the box", surface._box_lattice_tests(args.bound))
     outcome = search_abc(surface, args.a, args.b, args.c, bound=args.bound)
     payload = {
         "triple": outcome.triple,

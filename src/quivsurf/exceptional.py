@@ -11,9 +11,10 @@ isomorphism (absence of relations) is not decided here.
 Searches for collections of line bundles (O, O(D_1), ..., O(D_{n-1}))
 run on one engine, `search_paths`, given the forward Hom dimensions. It
 draws each D_k from a level set L(m) = {v : pair_hom(v) = m} of the
-Picard box, which is built once per surface and bound and kept on the
-surface, so later searches on that surface reuse every pair_hom of the box;
-`search_abc` and `search_kronecker` are its 3- and 2-object cases.
+Picard box, which the surface builds once per bound and keeps
+(`ToricSurface._strong_pairs`), so later searches on that surface reuse
+every pair_hom of the box; `search_abc` and `search_kronecker` are its 3-
+and 2-object cases.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def ext_dims(c: Collection, i: int, j: int) -> tuple:
     if isinstance(x, CurveSheaf) and isinstance(y, LineBundle):
         return s.ext_curve_to_line(x.ray, y.divisor)
     return s.ext_curve_pair(x.ray, y.ray)
+
+
+def _ext_lattice_tests(c: Collection) -> int:
+    """The most ray inequalities that ext_dims tests over the table of c: the
+    cache counts each difference E - D of two line bundles once, curves none."""
+    lines = [obj.divisor for obj in c.objects if isinstance(obj, LineBundle)]
+    return sum(map(c.surface._coh_lattice_tests, {sub_divisors(e, d) for d in lines for e in lines}))
 
 
 class PairFailure(NamedTuple):
@@ -173,48 +181,7 @@ def pair_hom(surface: ToricSurface, d: Sequence[int]) -> Optional[int]:
     """n when (O, O(D)) is a strong exceptional pair with n morphisms, that
     is O(D) has cohomology (n, 0, 0) and O(-D) has none; None otherwise.
     D is given in ray coefficients, and checked once for both lookups."""
-    return _pair_hom(surface, surface._check_divisor(d))
-
-
-def _pair_hom(surface: ToricSurface, d: tuple) -> Optional[int]:
-    """pair_hom of a checked divisor."""
-    h0, h1, h2 = surface._coh(d)
-    if h1 or h2 or surface._coh(neg_divisor(d)) != (0, 0, 0):
-        return None
-    return h0
-
-
-def _level_sets(surface: ToricSurface, bound: int) -> tuple:
-    """(levels, values) for the Picard box [-bound, bound]^rho: values maps
-    each vector v with a strong pair to n = pair_hom(v), and levels maps n
-    to the level set L(n) = {v : pair_hom(v) = n}, a tuple in box order.
-    Built once per surface and bound and kept on the surface, which never
-    changes. The box is symmetric, so it is walked once in pairs (v, -v),
-    with both cohomologies counted uncached; only the strong vectors and
-    their negatives, which verify_collection reads back, enter the
-    cohomology cache. 0 is never a strong pair (O(-0) has sections). A
-    Picard vector of ints padded with (0, 0) is a checked divisor."""
-    memo = surface._pair_levels.get(bound)
-    if memo is None:
-        values: dict = {}
-        cache = surface._coh_cache
-        box = itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank)
-        # box order is lexicographic and negation reverses it: the first
-        # half of the box holds the negatives of the second, and 0 is the
-        # middle point
-        for v in itertools.islice(box, ((2 * bound + 1) ** surface.picard_rank - 1) // 2):
-            w = neg_divisor(v)
-            d, e = v + (0, 0), w + (0, 0)
-            coh_d, coh_e = surface._count_coh(d), surface._count_coh(e)
-            for x, dx, coh_x, dy, coh_y in ((v, d, coh_d, e, coh_e), (w, e, coh_e, d, coh_d)):
-                if not (coh_x.h1 or coh_x.h2 or any(coh_y)):
-                    values[x] = coh_x.h0
-                    cache[dx], cache[dy] = coh_x, coh_y
-        levels: dict = {}
-        for v in sorted(values):
-            levels.setdefault(values[v], []).append(v)
-        memo = surface._pair_levels[bound] = ({n: tuple(vs) for n, vs in levels.items()}, values)
-    return memo
+    return surface._pair_hom(surface._check_divisor(d))
 
 
 def _check_paths(paths: Sequence[Sequence[int]]) -> tuple:
@@ -243,16 +210,7 @@ def search_paths(
 
 def _realise(surface: ToricSurface, paths: Sequence[Sequence[int]], bound: int) -> tuple:
     """search_paths on checked arguments."""
-    levels, values = _level_sets(surface, bound)
-
-    def hom(v: tuple) -> Optional[int]:
-        # pair_hom of a difference D_k - D_i: read from the level sets in the
-        # box, where a vector missing from values has no strong pair
-        if -bound <= min(v) and max(v) <= bound:
-            return values.get(v)
-        return _pair_hom(surface, v + (0, 0))
-
-    return tuple(_extend(paths, levels, hom, ()))
+    return tuple(_extend(paths, *surface._strong_pairs(bound), ()))
 
 
 def _extend(paths: Sequence[Sequence[int]], levels: dict, hom, ds: tuple):
@@ -401,7 +359,7 @@ def check_table_case(
     pairs = (("D", "-D", d, a), ("E-D", "D-E", sub_divisors(e, d), b), ("E", "-E", e, a * b + c))
     failures = []
     for label, neg_label, divisor, expected in pairs:
-        if _pair_hom(surface, divisor) != expected:
+        if surface._pair_hom(divisor) != expected:
             failures.append(
                 f"(O, O({label})) is not a strong exceptional pair with {expected} morphisms: "
                 f"O({label}) has cohomology {tuple(surface._coh(divisor))}, "

@@ -97,17 +97,20 @@ def paths_matrix(q: Quiver) -> list:
     """Directed path counts P[i][j] (length 0 included), as rows of ints: the
     inverse of I - A.
 
-    Row v is e_v plus row t once for each arrow v -> t, so parallel arrows
-    count separately; filling rows in reverse topological order makes every
-    row t ready before a row that needs it.
+    Row v is e_v plus k times row t for the k arrows v -> t, counted in one
+    walk of the arrows, so each distinct target costs one row operation;
+    filling rows in reverse topological order makes every row t ready first.
     """
     n = q.vertices
+    targets = [{} for _ in range(n)]  # targets[v][t]: the number of arrows v -> t
+    for s, t in q.arrows:
+        targets[s][t] = targets[s].get(t, 0) + 1
     rows = [None] * n
     for v in reversed(q.topological_order()):
-        row = [1 if j == v else 0 for j in range(n)]
-        for s, t in q.arrows:
-            if s == v:
-                row = [x + y for x, y in zip(row, rows[t])]
+        row = [0] * n
+        row[v] = 1
+        for t, k in targets[v].items():
+            row = [x + k * y for x, y in zip(row, rows[t])]
         rows[v] = row
     return rows
 

@@ -15,11 +15,12 @@ rays always form a lattice basis, so that choice never degenerates.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import cmp_to_key
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .linalg import FrozenValue, _as_int, _as_ints
 
@@ -140,7 +141,7 @@ class ToricSurface:
             selfints.append(-p)
         self.self_intersections: tuple = tuple(selfints)
         self._coh_cache: dict = {}  # checked divisor -> CohDims
-        self._pair_levels: dict = {}  # bound -> (levels, values), filled by exceptional
+        self._pair_levels: dict = {}  # bound -> (levels, values), filled by _strong_pairs
         # canonical divisor -sum(D_i)
         self.canonical: tuple = (-1,) * n
         self._k_squared = self.intersect(self.canonical, self.canonical)
@@ -291,6 +292,57 @@ class ToricSurface:
             raise ConsistencyError(f"negative h1 for divisor {d}")
         return CohDims(h0, h1, h2)
 
+    # --- strong exceptional pairs of line bundles -------------------------------
+
+    def _pair_hom(self, d: tuple) -> Optional[int]:
+        """pair_hom of a checked divisor: n when O(D) has cohomology (n, 0, 0)
+        and O(-D) has none, so that (O, O(D)) is a strong exceptional pair."""
+        h0, h1, h2 = self._coh(d)
+        return None if h1 or h2 or any(self._coh(neg_divisor(d))) else h0
+
+    def _picard_box(self, bound: int):
+        """[-bound, bound]^rho in lexicographic order; padded with (0, 0), a
+        Picard vector is a checked divisor."""
+        return itertools.product(range(-bound, bound + 1), repeat=self.picard_rank)
+
+    def _box_lattice_tests(self, bound: int) -> int:
+        """The most ray inequalities that _strong_pairs(bound) tests: the
+        _coh_lattice_tests of every vector of its box, 0 included."""
+        return sum(self._coh_lattice_tests(v + (0, 0)) for v in self._picard_box(bound))
+
+    def _strong_pairs(self, bound: int) -> tuple:
+        """(levels, hom) for the Picard box: levels maps n to the level set
+        L(n) = {v : pair_hom(v) = n}, a tuple in box order, and hom is
+        pair_hom of a Picard vector, read from the box's values inside it.
+        Levels and values are built once per bound and kept; hom is built per
+        call, so the surface holds no closure over itself. The box is walked
+        once in pairs (v, -v), both counted uncached, so no box point enters
+        the cache. 0 is never a strong pair (O(-0) has sections)."""
+        memo = self._pair_levels.get(bound)
+        if memo is None:
+            values: dict = {}
+            # box order is lexicographic and negation reverses it: the first
+            # half holds the negatives of the second, and 0 is the middle point
+            for v in itertools.islice(self._picard_box(bound), ((2 * bound + 1) ** self.picard_rank - 1) // 2):
+                w = neg_divisor(v)
+                coh_v, coh_w = self._count_coh(v + (0, 0)), self._count_coh(w + (0, 0))
+                for x, coh_x, coh_y in ((v, coh_v, coh_w), (w, coh_w, coh_v)):
+                    if not (coh_x.h1 or coh_x.h2 or any(coh_y)):
+                        values[x] = coh_x.h0
+            levels: dict = {}
+            for v in sorted(values):
+                levels.setdefault(values[v], []).append(v)
+            memo = self._pair_levels[bound] = ({n: tuple(vs) for n, vs in levels.items()}, values)
+        levels, values = memo
+
+        def hom(v: tuple) -> Optional[int]:
+            # a vector of the box missing from values has no strong pair
+            if -bound <= min(v) and max(v) <= bound:
+                return values.get(v)
+            return self._pair_hom(v + (0, 0))
+
+        return levels, hom
+
     # --- blow-ups ------------------------------------------------------------
 
     def blow_up(self, wall: int) -> "ToricSurface":
@@ -390,11 +442,9 @@ class ToricSurface:
         return (h0, h1, 0)
 
     def ext_curve_to_line(self, ray: int, a: Sequence[int]) -> tuple:
-        """Ext^*(O_C, O(A)) by Serre duality on the surface: the dual of
-        H^(2-*) of O((K-A).C) on the curve."""
-        a = self._check_divisor(a)
-        h0, h1 = p1_cohomology(self._ray_products(sub_divisors(self.canonical, a))[self._ray(ray)])
-        return (0, h1, h0)
+        """Ext^*(O_C, O(A)) by Serre duality on the surface: Ext^k(O_C, O(A))
+        is dual to Ext^(2-k)(O(A - K), O_C)."""
+        return self.ext_line_to_curve(sub_divisors(self._check_divisor(a), self.canonical), ray)[::-1]
 
     def ext_curve_pair(self, ray_i: int, ray_j: int) -> tuple:
         """Ext^*(O_C, O_C') for invariant ray curves.

@@ -27,12 +27,14 @@ from quivsurf.toric import (
     p1xp1,
     preset,
     projective_plane,
+    random_blowup_surface,
 )
 from quivsurf import cli
 from quivsurf.exceptional import (
     Collection,
     CurveSheaf,
     LineBundle,
+    _ext_lattice_tests,
     abc_of,
     check_table_case,
     ext_dims,
@@ -340,34 +342,67 @@ def test_level_sets_memo_gives_fresh_surface_answers():
 @pytest.mark.parametrize("bound", [1, 2])
 @pytest.mark.parametrize("abc", [None, (0, 2, 2), (1, 0, 1), (1, 3, 1)], ids=str)
 def test_search_caches_only_strong_vectors_their_negatives_and_outside_differences(name, bound, abc):
-    # a search keeps O(level sets) per surface, not a cohomology triple per
-    # box point; abc_of then reads every triple it needs but that of 0. At
-    # bound 1 some differences E - D leave the box and are cached too.
+    # a search caches no cohomology triple of its box: the level sets count
+    # every box point uncached, and only the differences E - D that leave
+    # the box (at bound 1) go through the cache, with their negatives
     surface = preset(name)
     box = list(itertools.product(range(-bound, bound + 1), repeat=surface.picard_rank))
     hom = {v: strong_pair_hom(lambda x: raw_cohomology(surface, surface.lift_pic(x)), v) for v in box}
     strong = [v for v in box if hom[v] is not None]
-    inside = {surface.lift_pic(x) for v in strong for x in (v, tuple(-c for c in v))}
     outside = set()
     if abc is None:
         search_kronecker(surface, 2, bound)
     else:
         a, b, c = abc
-        found = search_abc(surface, a, b, c, bound).pairs
+        search_abc(surface, a, b, c, bound)
         for d, e in itertools.product(strong, repeat=2):
             diff = tuple(y - x for x, y in zip(d, e))
             if hom[d] == a and hom[e] == a * b + c and max(map(abs, diff)) > bound:
                 outside |= {surface.lift_pic(diff), surface.lift_pic(tuple(-x for x in diff))}
     cached = set(surface._coh_cache)
-    in_box = {d for d in cached if max(map(abs, d)) <= bound}
-    assert in_box <= inside
-    assert cached - in_box <= outside
-    assert len(cached) <= 2 * len(strong) + len(outside)
-    if abc is not None:
-        zero = surface.zero_divisor()
-        for pair in found:
-            abc_of(line_collection(surface, [zero] + [surface.lift_pic(v) for v in pair]))
-        assert set(surface._coh_cache) - cached <= {zero}
+    assert not {d for d in cached if max(map(abs, d)) <= bound}
+    assert cached <= outside
+
+
+def counting_coh(surface) -> list:
+    """Wrap surface._count_coh so that every divisor it counts is recorded."""
+    counted, count = [], surface._count_coh
+    surface._count_coh = lambda d: counted.append(d) or count(d)
+    return counted
+
+
+def test_box_charge_is_the_lattice_work_of_the_build():
+    # what search charges before it runs is what the level-set build counts,
+    # plus the zero vector, which the build skips; a change to the work that
+    # keeps the charge fails here
+    rng = random.Random(30)
+    for _ in range(30):
+        s = random_blowup_surface(rng)
+        while s.picard_rank > 4:
+            s = random_blowup_surface(rng)
+        bound = rng.randint(0, 2 if s.picard_rank <= 3 else 1)
+        counted = counting_coh(s)
+        s._strong_pairs(bound)
+        assert len(counted) == (2 * bound + 1) ** s.picard_rank - 1
+        assert s._box_lattice_tests(bound) == sum(map(s._coh_lattice_tests, counted)) + s.n_rays
+        assert not s._coh_cache
+
+
+def test_verify_charge_is_the_lattice_work_of_the_ext_table():
+    # on a fresh surface, verify_collection counts each distinct line-bundle
+    # difference once, and curve sheaves count nothing
+    rng = random.Random(40)
+    for _ in range(40):
+        s = random_blowup_surface(rng)
+        pool = [tuple(rng.randint(-2, 2) for _ in range(s.n_rays)) for _ in range(3)]
+        objects = tuple(
+            LineBundle(rng.choice(pool)) if rng.random() < 0.6 else CurveSheaf(rng.randrange(s.n_rays))
+            for _ in range(rng.randint(1, 5))
+        )
+        c = Collection(s, objects)
+        counted = counting_coh(s)
+        verify_collection(c, strong=rng.random() < 0.5)
+        assert _ext_lattice_tests(c) == sum(map(s._coh_lattice_tests, counted))
 
 
 @pytest.mark.parametrize(

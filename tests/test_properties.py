@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivsurf.exceptional import _level_sets, pair_hom, search_abc, search_kronecker, search_paths, solve_abc
+from quivsurf.exceptional import pair_hom, search_abc, search_kronecker, search_paths, solve_abc
 from quivsurf.linalg import ExactMatrix
 from quivsurf.quivers import Quiver, euler_matrix_simples, forbidden_full_subquiver, obstruction_report
 from quivsurf.toric import ConsistencyError, KClass, ToricSurface, random_blowup_surface
@@ -192,9 +192,9 @@ def test_cohomology_fast_paths_match_raw_oracle(s, data):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(surfaces.filter(lambda s: s.picard_rank <= 3), st.data())
 def test_interleaved_searches_and_lookups_keep_the_cache_exact(s, data):
-    # the level sets fill the cache with triples they count uncached; lookups
-    # of Picard box vectors, which the searches also count, and of other
-    # divisors come before, between and after them
+    # the level sets count every box vector uncached and cache none of them;
+    # lookups of Picard box vectors, which the searches also count, and of
+    # other divisors come before, between and after them
     picard = st.lists(st.integers(-2, 2), min_size=s.picard_rank, max_size=s.picard_rank).map(s.lift_pic)
     divisor = st.one_of(picard, divisors(s, st.integers(-4, 4)))
     calls = st.one_of(
@@ -243,8 +243,10 @@ def test_search_paths_matches_tuple_scan(s, bound, n, data):
     assert search_paths(s, paths, bound) == search_paths_by_tuple_scan(coh, rho, paths, bound)
     # the premise of a Riemann-Roch gate in the level-set build: a strong
     # vector v with h0 sections has chi(v) = h0 and chi(-v) = 0
-    _, values = _level_sets(s, bound)
-    assert all(s._chi(v + (0, 0)) == h0 and s._chi(tuple(-x for x in v) + (0, 0)) == 0 for v, h0 in values.items())
+    levels, _ = s._strong_pairs(bound)
+    assert all(
+        s._chi(v + (0, 0)) == h0 and s._chi(tuple(-x for x in v) + (0, 0)) == 0 for h0, vs in levels.items() for v in vs
+    )
     # random paths are rarely realisable, so also build a strong collection
     # one box vector at a time and search for its forward Hom dimensions
     def hom(x, y):

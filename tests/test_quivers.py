@@ -115,6 +115,12 @@ def test_paths_three_vertex():
     assert paths_matrix(three_vertex(2, 2, 0))[0][2] == 4
 
 
+def test_paths_matrix_of_a_chain_with_parallel_arrows():
+    # 200 copies of each arrow of the A100 chain: 200^(j - i) paths from i to j
+    q = Quiver(100, tuple((i, i + 1) for i in range(99) for _ in range(200)))
+    assert paths_matrix(q) == [[200 ** (j - i) if j >= i else 0 for j in range(100)] for i in range(100)]
+
+
 def test_paths_matrix_inverts_euler_matrix_and_matches_dfs():
     rng = random.Random(32)
     quivers = [random_acyclic_quiver(rng) for _ in range(40)]

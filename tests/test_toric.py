@@ -430,6 +430,34 @@ def test_ext_triples_match_euler_pairing():
             assert cc[0] - cc[1] + cc[2] == s.euler_pairing(curves[i], curves[j])
 
 
+def test_ext_curve_to_line_triples_are_pinned():
+    # each degree, not only the alternating sum: Ext^k(O_C, O(A)) is dual to
+    # H^(2-k) of O((K - A).C) on the curve C of the ray
+    dp6 = blowup_p2(3)
+    pinned = {
+        (0, (1, 0, 0, 0, 0, 0)): (0, 0, 1),
+        (1, (1, 0, 0, 0, 0, 0)): (0, 1, 0),
+        (4, (1, 0, 0, 0, 0, 0)): (0, 0, 0),
+        (0, (0, 2, 0, -1, 0, 0)): (0, 2, 0),
+        (1, (0, 2, 0, -1, 0, 0)): (0, 0, 2),
+        (4, (0, 2, 0, -1, 0, 0)): (0, 0, 1),
+        (0, (-3, 1, 0, 2, 0, 1)): (0, 5, 0),
+        (1, (-3, 1, 0, 2, 0, 1)): (0, 0, 4),
+        (4, (-3, 1, 0, 2, 0, 1)): (0, 3, 0),
+        (1, (2, 2, 2, 0, 0, 0)): (0, 2, 0),
+    }
+    for (ray, a), triple in pinned.items():
+        assert dp6.ext_curve_to_line(ray, a) == triple
+    assert all(dp6.ext_curve_to_line(ray, dp6.zero_divisor()) == (0, 0, 0) for ray in range(6))
+    rng = random.Random(30)
+    for _ in range(40):
+        s = random_blowup_surface(rng)
+        a = tuple(rng.randint(-3, 3) for _ in range(s.n_rays))
+        ray = rng.randrange(s.n_rays)
+        h0, h1 = p1_cohomology_oracle(s.intersect(sub_divisors(s.canonical, a), s.ray_divisor(ray)))
+        assert s.ext_curve_to_line(ray, a) == (0, h1, h0)
+
+
 # --- presets -----------------------------------------------------------------------
 
 
