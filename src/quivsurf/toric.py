@@ -190,7 +190,11 @@ class ToricSurface:
             raise ValueError(
                 f"expected {self.picard_rank} Picard coordinates, got {len(coeffs)}"
             )
-        return coeffs + (0,) * (len(self.rays) - len(coeffs))
+        return self._lift(coeffs)
+
+    def _lift(self, v: tuple) -> tuple:
+        """A Picard vector of ints as a checked divisor: 0 on the last two rays."""
+        return v + (0, 0)
 
     # --- intersection theory --------------------------------------------------
 
@@ -301,37 +305,29 @@ class ToricSurface:
         return None if h1 or h2 or any(self._coh(neg_divisor(d))) else h0
 
     def _picard_box(self, bound: int):
-        """[-bound, bound]^rho in lexicographic order; padded with (0, 0), a
-        Picard vector is a checked divisor."""
+        """[-bound, bound]^rho as Picard vectors, in lexicographic order."""
         return itertools.product(range(-bound, bound + 1), repeat=self.picard_rank)
 
     def _box_lattice_tests(self, bound: int) -> int:
         """The most ray inequalities that _strong_pairs(bound) tests: the
-        _coh_lattice_tests of every vector of its box, 0 included."""
-        return sum(self._coh_lattice_tests(v + (0, 0)) for v in self._picard_box(bound))
+        _coh_lattice_tests of every vector of its box."""
+        return sum(self._coh_lattice_tests(self._lift(v)) for v in self._picard_box(bound))
 
     def _strong_pairs(self, bound: int) -> tuple:
         """(levels, hom) for the Picard box: levels maps n to the level set
         L(n) = {v : pair_hom(v) = n}, a tuple in box order, and hom is
         pair_hom of a Picard vector, read from the box's values inside it.
         Levels and values are built once per bound and kept; hom is built per
-        call, so the surface holds no closure over itself. The box is walked
-        once in pairs (v, -v), both counted uncached, so no box point enters
-        the cache. 0 is never a strong pair (O(-0) has sections)."""
+        call, so the surface holds no closure over itself. Each box vector
+        is counted once, uncached, so no box point enters the cache; 0 fails
+        the rule (O(-0) has sections)."""
         memo = self._pair_levels.get(bound)
         if memo is None:
-            values: dict = {}
-            # box order is lexicographic and negation reverses it: the first
-            # half holds the negatives of the second, and 0 is the middle point
-            for v in itertools.islice(self._picard_box(bound), ((2 * bound + 1) ** self.picard_rank - 1) // 2):
-                w = neg_divisor(v)
-                coh_v, coh_w = self._count_coh(v + (0, 0)), self._count_coh(w + (0, 0))
-                for x, coh_x, coh_y in ((v, coh_v, coh_w), (w, coh_w, coh_v)):
-                    if not (coh_x.h1 or coh_x.h2 or any(coh_y)):
-                        values[x] = coh_x.h0
+            coh = {v: self._count_coh(self._lift(v)) for v in self._picard_box(bound)}
+            values = {v: c.h0 for v, c in coh.items() if not (c.h1 or c.h2 or any(coh[neg_divisor(v)]))}
             levels: dict = {}
-            for v in sorted(values):
-                levels.setdefault(values[v], []).append(v)
+            for v, n in values.items():
+                levels.setdefault(n, []).append(v)
             memo = self._pair_levels[bound] = ({n: tuple(vs) for n, vs in levels.items()}, values)
         levels, values = memo
 
@@ -339,7 +335,7 @@ class ToricSurface:
             # a vector of the box missing from values has no strong pair
             if -bound <= min(v) and max(v) <= bound:
                 return values.get(v)
-            return self._pair_hom(v + (0, 0))
+            return self._pair_hom(self._lift(v))
 
         return levels, hom
 

@@ -372,9 +372,9 @@ def counting_coh(surface) -> list:
 
 
 def test_box_charge_is_the_lattice_work_of_the_build():
-    # what search charges before it runs is what the level-set build counts,
-    # plus the zero vector, which the build skips; a change to the work that
-    # keeps the charge fails here
+    # what search charges before it runs is what the level-set build counts:
+    # each box vector once; a change to the work that keeps the charge fails
+    # here
     rng = random.Random(30)
     for _ in range(30):
         s = random_blowup_surface(rng)
@@ -383,8 +383,8 @@ def test_box_charge_is_the_lattice_work_of_the_build():
         bound = rng.randint(0, 2 if s.picard_rank <= 3 else 1)
         counted = counting_coh(s)
         s._strong_pairs(bound)
-        assert len(counted) == (2 * bound + 1) ** s.picard_rank - 1
-        assert s._box_lattice_tests(bound) == sum(map(s._coh_lattice_tests, counted)) + s.n_rays
+        assert len(counted) == (2 * bound + 1) ** s.picard_rank
+        assert s._box_lattice_tests(bound) == sum(map(s._coh_lattice_tests, counted))
         assert not s._coh_cache
 
 

@@ -229,6 +229,14 @@ def test_searches_match_raw_triple_oracles(s, bound):
     for n in range(1, 5):
         expected = search_kronecker_by_triples(coh, rho, n, bound)
         assert search_kronecker(s, n, bound) == expected == search_kronecker_by_box_loop(s, n, bound)
+    # and the whole level map, not only the levels a search reads: every
+    # L(n) in box order, levels in order of first vector, no zero vector
+    expected_levels: dict = {}
+    for v in itertools.product(range(-bound, bound + 1), repeat=rho):
+        n = strong_pair_hom(coh, v)
+        if n is not None:
+            expected_levels.setdefault(n, []).append(v)
+    assert list(s._strong_pairs(bound)[0].items()) == [(n, tuple(vs)) for n, vs in expected_levels.items()]
 
 
 @PROPERTY
