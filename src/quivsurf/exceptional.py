@@ -8,13 +8,13 @@ when in addition the forward triples are concentrated in degree 0. Whether
 the dimension-level match with a path algebra lifts to an algebra
 isomorphism (absence of relations) is not decided here.
 
-Searches for collections of line bundles (O, O(D_1), ..., O(D_{n-1}))
-run on one engine, `search_paths`, given the forward Hom dimensions. It
-draws each D_k from a level set L(m) = {v : pair_hom(v) = m} of the
-Picard box, which the surface builds once per bound and keeps
-(`ToricSurface._strong_pairs`), so later searches on that surface reuse
-every pair_hom of the box; `search_abc` and `search_kronecker` are its 3-
-and 2-object cases.
+Searches for collections of line bundles (O, O(D_1), ..., O(D_{n-1})) read
+the level sets L(m) = {v : pair_hom(v) = m} of the Picard box, which the
+surface builds once per bound and keeps (`ToricSurface._strong_pairs`), so
+later searches on a surface reuse every pair_hom of the box.
+`search_kronecker(s, n)` returns L(n). `search_paths`, given the forward Hom
+dimensions, draws each D_k from L(paths[0][k]), answers a non-additive
+matrix without a build, and has `search_abc` as its 3-object case.
 """
 
 from __future__ import annotations
@@ -194,23 +194,22 @@ def _check_paths(paths: Sequence[Sequence[int]]) -> tuple:
     return rows
 
 
-def search_paths(
-    surface: ToricSurface, paths: Sequence[Sequence[int]], bound: int = 3
-) -> tuple:
+def search_paths(surface: ToricSurface, paths: Sequence[Sequence[int]], bound: int = 3) -> tuple:
     """All (D_1, ..., D_{n-1}) in Picard coordinates with entries in
     [-bound, bound] such that, with D_0 = 0, every (O(D_i), O(D_j)) with
     i < j is a strong exceptional pair with paths[i][j] morphisms; so
     (O, O(D_1), ..., O(D_{n-1})) is a strong exceptional collection whose
     forward Hom dimensions are the upper unitriangular matrix paths.
     Tuples come in lexicographic box order. A malformed paths matrix, or a
-    bound that is negative or not an integer, raises ValueError."""
+    bound that is negative or not an integer, raises ValueError. Riemann-Roch
+    gives pair_hom(D) = -K.D on strong pairs, so a matrix that is not additive
+    (paths[i][j] = paths[0][j] - paths[0][i] for 0 < i < j) has no
+    realisation on any surface: its () is given without a level-set build."""
     bound = _as_int(bound, "search bound", 0)
-    return _realise(surface, _check_paths(paths), bound)
-
-
-def _realise(surface: ToricSurface, paths: Sequence[Sequence[int]], bound: int) -> tuple:
-    """search_paths on checked arguments."""
-    return tuple(_extend(paths, *surface._strong_pairs(bound), ()))
+    rows = _check_paths(paths)
+    if any(rows[i][j] != rows[0][j] - rows[0][i] for j in range(len(rows)) for i in range(1, j)):
+        return ()
+    return tuple(_extend(rows, *surface._strong_pairs(bound), ()))
 
 
 def _extend(paths: Sequence[Sequence[int]], levels: dict, hom, ds: tuple):
@@ -222,13 +221,14 @@ def _extend(paths: Sequence[Sequence[int]], levels: dict, hom, ds: tuple):
         yield ds
         return
     for v in levels.get(paths[0][k], ()):
-        if all(hom(sub_divisors(v, d)) == paths[i][k] for i, d in enumerate(ds, 1)):
+        for i, d in enumerate(ds, 1):
+            if hom(sub_divisors(v, d)) != paths[i][k]:
+                break
+        else:
             yield from _extend(paths, levels, hom, ds + (v,))
 
 
-def search_abc(
-    surface: ToricSurface, a: int, b: int, c: int, bound: int = 3
-) -> AbcSearchResult:
+def search_abc(surface: ToricSurface, a: int, b: int, c: int, bound: int = 3) -> AbcSearchResult:
     """All (D, E) in Picard coordinates with entries in [-bound, bound] such
     that (O, O(D), O(E)) is strong exceptional with quiver data (a, b, c).
 
@@ -248,17 +248,17 @@ def search_abc(
             f"no strong exceptional triple of line bundles can realise (a,b,c)=({a},{b},{c}): "
             f"a+b={a + b} but ab+c={a * b + c}, and a+b=ab+c is forced",
         )
-    pairs = _realise(surface, ((1, a, a * b + c), (0, 1, b), (0, 0, 1)), bound)
-    return AbcSearchResult((a, b, c), pairs, None)
+    paths = ((1, a, a * b + c), (0, 1, b), (0, 0, 1))
+    return AbcSearchResult((a, b, c), tuple(_extend(paths, *surface._strong_pairs(bound), ())), None)
 
 
 def search_kronecker(surface: ToricSurface, n: int, bound: int = 5) -> tuple:
     """All D in Picard coordinates with entries in [-bound, bound] such that
-    (O, O(D)) is a strong exceptional pair with n forward morphisms, i.e. a
-    rank-one realisation of the n-arrow Kronecker quiver."""
+    (O, O(D)) is strong exceptional with n forward morphisms, a rank-one
+    realisation of the n-arrow Kronecker quiver: the kept L(n), in box order."""
     n = _as_int(n, "Kronecker arrow count", 1)
     bound = _as_int(bound, "search bound", 0)
-    return tuple(d for (d,) in _realise(surface, ((1, n), (0, 1)), bound))
+    return surface._strong_pairs(bound)[0].get(n, ())
 
 
 # --- the star family ---------------------------------------------------------

@@ -371,6 +371,37 @@ def counting_coh(surface) -> list:
     return counted
 
 
+@pytest.mark.parametrize(
+    "paths",
+    [
+        ((1, 1, 1), (0, 1, 1), (0, 0, 1)),  # paths[1][2] is not 1 - 1
+        ((1, 2, 3), (0, 1, 2), (0, 0, 1)),
+        ((1, 0, 2, 3), (0, 1, 2, 2), (0, 0, 1, 1), (0, 0, 0, 1)),  # additive but for (1, 3)
+        ((1, 1, 2, 3), (0, 1, 1, 2), (0, 0, 1, 0), (0, 0, 0, 1)),  # additive but for (2, 3)
+    ],
+)
+def test_non_additive_paths_are_answered_without_a_build(paths):
+    # pair_hom = -K.D on strong pairs forces paths[i][j] = paths[0][j] - paths[0][i]
+    surface = preset("dP6")
+    counted = counting_coh(surface)
+    assert search_paths(surface, paths, 2) == ()
+    assert not surface._pair_levels and not counted and not surface._coh_cache
+
+
+@pytest.mark.parametrize("name", ["P1xP1", "Bl2P2", "dP6"])
+@pytest.mark.parametrize("bound", [1, 2])
+def test_warm_searches_count_no_cohomology(name, bound):
+    # after one search of each kind, the same searches read only the kept
+    # level sets and the cache: no divisor is counted again
+    surface = preset(name)
+    calls = [lambda abc=abc: search_abc(surface, *abc, bound=bound) for abc in ((0, 2, 2), (1, 0, 1), (1, 3, 1))]
+    calls += [lambda n=n: search_kronecker(surface, n, bound) for n in range(1, 5)]
+    cold = [call() for call in calls]
+    counted = counting_coh(surface)
+    assert [call() for call in calls] == cold
+    assert not counted
+
+
 def test_box_charge_is_the_lattice_work_of_the_build():
     # what search charges before it runs is what the level-set build counts:
     # each box vector once; a change to the work that keeps the charge fails

@@ -226,9 +226,12 @@ def test_searches_match_raw_triple_oracles(s, bound):
     for a, b, c in solve_abc(3):
         expected = search_abc_by_triples(coh, rho, a, b, c, bound)
         assert search_abc(s, a, b, c, bound).pairs == expected == search_abc_by_box_loop(s, a, b, c, bound)
+    # search_kronecker reads the kept L(n) and shares no code with the
+    # engine, so it must also keep agreeing with the engine's 2-object case
     for n in range(1, 5):
         expected = search_kronecker_by_triples(coh, rho, n, bound)
         assert search_kronecker(s, n, bound) == expected == search_kronecker_by_box_loop(s, n, bound)
+        assert expected == tuple(d for (d,) in search_paths(s, ((1, n), (0, 1)), bound))
     # and the whole level map, not only the levels a search reads: every
     # L(n) in box order, levels in order of first vector, no zero vector
     expected_levels: dict = {}
