@@ -6,19 +6,19 @@ parses every input into them and writes every report.
 Exit codes: 0 success (and, for verifying commands, all checks passed);
 1 a verification gave a negative verdict; 2 malformed or invalid input,
 including JSON numbers that are not plain integers, negative bounds,
-negative search arrow counts, a divisor given to toric knum, an input
-file that cannot be read (a directory, say, or '-' with standard input
-closed), obstruct input with both
-a quiver and a Gram matrix, quiver JSON with more than
-cli.JSON_VERTEX_BOUND = 100 vertices, Gram JSON with more than 100 rows,
-collection JSON with more than 100 objects or fan JSON with more than 100
-rays (the same bound), a search box of more than cli.SEARCH_BOX_BOUND =
-10000 Picard vectors, a toric coh divisor, a verify collection or a search
-box whose lattice counts would test more than cli.LATTICE_TEST_BOUND =
-3200000 ray inequalities (box points times rays, over D and K - D for
-toric coh and for every vector of the search box, and over every
-difference of two line bundles for verify), solve-abc --max above
-cli.SOLVE_ABC_BOUND = 10000, and reproduce --m-max above
+negative search arrow counts, a divisor given to toric knum, an input file
+that cannot be read (a directory, say, or '-' with standard input closed),
+obstruct input with both a quiver and a Gram matrix, quiver JSON with more
+than cli.JSON_VERTEX_BOUND = 100 vertices, Gram JSON with more than 100
+rows, collection JSON with more than 100 objects or fan JSON with more
+than 100 rays (the same bound), Gram JSON with an entry above
+cli.GRAM_ENTRY_BOUND = 999999 in absolute value, a search box of more than
+cli.SEARCH_BOX_BOUND = 10000 Picard vectors, a toric coh divisor, a verify
+collection or a search box whose lattice counts would test more than
+cli.LATTICE_TEST_BOUND = 3200000 ray inequalities (box points times rays,
+over D and K - D for toric coh and for every vector of the search box, and
+over every difference of two line bundles for verify), solve-abc --max
+above cli.SOLVE_ABC_BOUND = 10000, and reproduce --m-max above
 cli.REPRODUCE_M_MAX_BOUND = 40;
 3 an internal error (any exception other than an input error: a failed
 exact identity, input nested too deeply to read, a bug; or a report that
@@ -69,6 +69,9 @@ EXIT_INTERNAL_ERROR = 3
 # Euler form, an elimination, a Hom/Ext table; toric knum took 0.26 s on 100
 # rays and 1.3 s on 200). The library constructors are unbounded.
 JSON_VERTEX_BOUND = 100
+# Largest absolute value of a Gram JSON entry: the exact rank and signature of
+# a 100-row unitriangular Gram took 2.2 s with 9-digit entries, 10.7 s with 20.
+GRAM_ENTRY_BOUND = 999999
 # Most ray inequalities (box points times rays) that toric coh (over D and
 # K - D), verify (over every difference of two line bundles) and search (over
 # D and K - D of every vector of its box) may test, about one second of work:
@@ -143,10 +146,11 @@ def _read_quiver(data) -> Quiver:
     return Quiver(vertices, arrows)
 
 
-def _read_gram(data) -> tuple:
+def _read_gram(data) -> list:
     rows = _ints(_field(data, "gram", "Gram-matrix"), "Gram matrix", 2)
     _at_most(len(rows), JSON_VERTEX_BOUND, "Gram JSON", "rows")
     rows = _square_ints(rows, "Gram matrix")
+    _at_most(max(abs(x) for row in rows for x in row), GRAM_ENTRY_BOUND, "Gram matrix entry", "in absolute value")
     det = _echelon([list(row) for row in rows])[1]
     if det not in (1, -1):
         raise ValueError(f"Gram matrix must be unimodular, but its determinant is {det}")

@@ -184,7 +184,7 @@ def pair_hom(surface: ToricSurface, d: Sequence[int]) -> Optional[int]:
     return surface._pair_hom(surface._check_divisor(d))
 
 
-def _check_paths(paths: Sequence[Sequence[int]]) -> tuple:
+def _check_paths(paths: Sequence[Sequence[int]]) -> list:
     """paths as rows of ints: square, 1 on the diagonal, 0 below it and
     nonnegative above it."""
     rows = _square_ints(paths, "paths")

@@ -60,27 +60,46 @@ def _as_int(value, what: str, least: Optional[int] = None, most: Optional[int] =
     return value
 
 
-def _int_rows(rows, what: str) -> tuple:
-    """rows as a tuple of int rows, each converted by _as_ints: "{what}
-    entry 0.5 is not an integer". A grid or row that is not iterable raises
-    ValueError naming what."""
-    # tuples on the obstruction path are built from lists, at their exact
-    # size: tuple() of a map or generator starts at 10 items and resizes,
-    # which fills CPython's per-size tuple free lists (up to 2,000 each)
+def _int_rows(rows, what: str) -> list:
+    """rows as fresh lists of ints, read by operator.index: the one reader
+    of integer grids. A list or tuple row is read by one map; any other row,
+    and one that holds a non-integer, is read by _as_ints, which names the
+    bad entry: "{what} entry 0.5 is not an integer". A grid or row that is
+    not iterable raises ValueError naming what."""
+    out = []
     try:
-        return tuple([_as_ints(row, f"{what} entry") for row in rows])
+        for row in rows:
+            if isinstance(row, (list, tuple)):
+                try:
+                    out.append(list(map(operator.index, row)))
+                    continue
+                except TypeError:
+                    pass
+            out.append(list(_as_ints(row, f"{what} entry")))
     except TypeError:
         raise ValueError(f"{what}: expected a sequence, got {rows!r}") from None
+    return out
 
 
-def _square_ints(rows, what: str) -> tuple:
-    """rows as a square tuple of int rows, read by _int_rows: the one check
+def _square_ints(rows, what: str) -> list:
+    """rows as a square list of int rows, read by _int_rows: the one check
     of every square integer matrix read as input. A non-integer entry, a
     grid or row that is not iterable, or an empty or non-square grid raises
     ValueError naming what."""
     rows = _int_rows(rows, what)
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError(f"{what} must be a non-empty square")
+    return rows
+
+
+def _rect_ints(rows) -> list:
+    """rows as a non-empty rectangular list of int rows, read by _int_rows:
+    the check of every matrix that rank_rational and signature_symmetric read."""
+    rows = _int_rows(rows, "matrix")
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("entry grid does not match declared shape")
+    if not rows or not rows[0]:
+        raise ValueError("matrix must be non-empty")
     return rows
 
 
@@ -118,36 +137,20 @@ class FrozenValue:
         return f"{type(self).__name__}({fields})"
 
 
-class ExactMatrix(FrozenValue):
-    """Immutable dense matrix of ints, row-major: the input of rank_rational
-    and signature_symmetric. from_rows is the one public constructor and
-    checked reader: it reads each entry by operator.index, so a Fraction,
-    float or string entry raises ValueError, as does an empty or ragged
-    grid. Only _of, for int rows the package has just built (chi^- and
-    chi^+ in obstruction_report, and each 4x4 minor of chi^- in the
-    witness scan), skips those checks."""
+class ExactMatrix(tuple):
+    """A non-empty rectangular tuple of int tuples, built only by from_rows,
+    which checks rows as rank_rational and signature_symmetric do (each
+    entry by operator.index, so a Fraction, float or string entry raises
+    ValueError, as does an empty or ragged grid)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
+    def __new__(cls, *args, **kwargs):
         raise TypeError("build an ExactMatrix with ExactMatrix.from_rows")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "ExactMatrix":
-        entries = _int_rows(rows, "matrix")
-        cols = len(entries[0]) if entries else 0
-        if any(len(r) != cols for r in entries):
-            raise ValueError("entry grid does not match declared shape")
-        if not cols:
-            raise ValueError("matrix must be non-empty")
-        return cls._of(entries)
-
-    @classmethod
-    def _of(cls, rows: list) -> "ExactMatrix":
-        """Unchecked: rows is a non-empty rectangular list of int rows."""
-        m = cls.__new__(cls)
-        m._init(len(rows), len(rows[0]), tuple([tuple(r) for r in rows]))
-        return m
+        return tuple.__new__(cls, [tuple(row) for row in _rect_ints(rows)])
 
 
 def _echelon(a: list) -> tuple:
@@ -188,12 +191,13 @@ def _echelon(a: list) -> tuple:
     return rank, sign * prev if rank == len(a) else 0
 
 
-def rank_rational(m: ExactMatrix) -> int:
-    """Rank over Q by fraction-free elimination of the integer rows."""
-    return _echelon([list(r) for r in m.entries])[0]
+def rank_rational(rows: Iterable[Sequence]) -> int:
+    """Rank over Q of integer rows, by fraction-free elimination of the copy
+    that _rect_ints checks."""
+    return _echelon(_rect_ints(rows))[0]
 
 
-def signature_symmetric(m: ExactMatrix) -> Signature:
+def signature_symmetric(rows: Iterable[Sequence]) -> Signature:
     """Inertia of a symmetric matrix by Bareiss elimination on its upper
     triangle: after pivot p with row u and previous pivot q, each trailing
     entry becomes (p b_ij - u_i u_j) / q, an exact division because it is a
@@ -201,13 +205,14 @@ def signature_symmetric(m: ExactMatrix) -> Signature:
     each pivot adds sign(p / q) to the inertia. A zero pivot with a nonzero
     partner is repaired by adding (or, when that would cancel, subtracting)
     the partner row and column, a unimodular congruence that keeps the
-    division exact; a zero row adds to n_zero.
+    division exact; a zero row adds to n_zero. _rect_ints checks the copy.
     """
-    # rows against columns, which differ in length when m is not square;
-    # tuple() of an iterator would resize and refill the tuple free lists
-    if any(map(operator.ne, m.entries, zip(*m.entries))):
+    rows = _rect_ints(rows)
+    # rows against columns as lists, which differ in length when rows is
+    # not square
+    if any(map(operator.ne, rows, map(list, zip(*rows)))):
         raise ValueError("signature requires a symmetric matrix")
-    a = [list(row[i:]) for i, row in enumerate(m.entries)]
+    a = [row[i:] for i, row in enumerate(rows)]
     prev, signs = 1, []
     while a:
         top = a[0]
@@ -226,4 +231,4 @@ def signature_symmetric(m: ExactMatrix) -> Signature:
         u = top[1:]
         a = [[(p * x - ui * uj) // prev for x, uj in zip(row, u[i:])] for i, (row, ui) in enumerate(zip(a[1:], u))]
         prev = p
-    return Signature(signs.count(True), signs.count(False), m.rows - len(signs))
+    return Signature(signs.count(True), signs.count(False), len(rows) - len(signs))

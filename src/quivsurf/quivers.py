@@ -16,7 +16,6 @@ import operator
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (
-    ExactMatrix,
     FrozenValue,
     Signature,
     _as_int,
@@ -155,11 +154,9 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
     a skew form of rank >= 4 has a nonsingular principal minor of that size,
     and Pfaffian expansion descends through nonzero principal Pfaffians to
     a nonsingular principal 4x4 minor. Returns None when rank(chi^-) <= 2.
-    chi^- is built by _chi from the int rows of E, so each minor is cut
-    from ints, by one operator.itemgetter per subset that picks the rows
-    and then the entries of each row as tuples of four, which _of keeps
-    as they are, and reaches rank_rational through the unchecked
-    ExactMatrix._of, like the forms of obstruction_report.
+    Each minor is cut from the int rows of chi^- by one operator.itemgetter
+    per subset, rows then entries, and checked in the copy rank_rational
+    eliminates.
     """
     if q.vertices > SUBQUIVER_BOUND:
         raise ValueError(
@@ -169,7 +166,7 @@ def forbidden_full_subquiver(q: Quiver) -> Optional[tuple]:
     m = _chi(euler_matrix_simples(q), operator.sub)
     for subset in itertools.combinations(range(q.vertices), 4):
         pick = operator.itemgetter(*subset)
-        if rank_rational(ExactMatrix._of([pick(row) for row in pick(m)])) > 2:
+        if rank_rational([pick(row) for row in pick(m)]) > 2:
             return subset
     return None
 
@@ -180,16 +177,17 @@ def obstruction_report(source) -> ObstructionReport:
     Gram rows, checked by _square_ints, are taken as the Euler form in some
     exceptional basis; the verdicts are congruence invariants so any basis
     gives the same answer. chi^- and chi^+ are built by _chi, the unchecked
-    core of chi_minus and chi_plus, and reach rank_rational and
-    signature_symmetric through the unchecked ExactMatrix._of. The witness
-    is only searched for quiver input of at most SUBQUIVER_BOUND vertices.
+    core of chi_minus and chi_plus, and rank_rational and
+    signature_symmetric check them in the copies they eliminate. The
+    witness is only searched for quiver input of at most SUBQUIVER_BOUND
+    vertices.
     """
     if isinstance(source, Quiver):
         e = euler_matrix_simples(source)
     else:
         e = _square_ints(source, "Gram matrix")
-    rank_cm = rank_rational(ExactMatrix._of(_chi(e, operator.sub)))
-    sig = signature_symmetric(ExactMatrix._of(_chi(e, operator.add)))
+    rank_cm = rank_rational(_chi(e, operator.sub))
+    sig = signature_symmetric(_chi(e, operator.add))
     passes_rank = rank_cm <= 2
     passes_signature = sig.n_minus <= 2
     witness = None

@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 
 from quivsurf.exceptional import pair_hom
-from quivsurf.linalg import ExactMatrix, Signature
+from quivsurf.linalg import Signature
 from quivsurf.toric import sub_divisors
 
 
@@ -45,17 +45,17 @@ def identity(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def fraction_rows(m: ExactMatrix) -> list:
-    """The entries of m as lists of Fractions: an ExactMatrix holds ints,
-    on which / would give floats."""
-    return [list(map(Fraction, row)) for row in m.entries]
+def fraction_rows(m) -> list:
+    """The integer rows m as lists of Fractions, on which / stays exact
+    where on ints it would give floats."""
+    return [list(map(Fraction, row)) for row in m]
 
 
-def charpoly(m: ExactMatrix) -> list:
-    """Coefficients [1, a1, ..., an] of det(tI - M), by Faddeev-LeVerrier
-    on lists of Fractions."""
-    assert m.rows == m.cols
-    n = m.rows
+def charpoly(m) -> list:
+    """Coefficients [1, a1, ..., an] of det(tI - M) for square integer
+    rows M, by Faddeev-LeVerrier on lists of Fractions."""
+    n = len(m)
+    assert all(len(row) == n for row in m)
     rows = fraction_rows(m)
     coeffs = [Fraction(1)]
     b = identity(n)
@@ -67,11 +67,11 @@ def charpoly(m: ExactMatrix) -> list:
     return coeffs
 
 
-def signature_by_charpoly(m: ExactMatrix) -> Signature:
-    """Inertia of a symmetric matrix by sign variations of the
+def signature_by_charpoly(m) -> Signature:
+    """Inertia of symmetric integer rows by sign variations of the
     characteristic polynomial (exact because all roots are real)."""
     coeffs = charpoly(m)
-    n = m.rows
+    n = len(m)
     n_zero = 0
     while coeffs[-1 - n_zero] == 0:
         n_zero += 1
@@ -84,49 +84,51 @@ def signature_by_charpoly(m: ExactMatrix) -> Signature:
     return Signature(n_plus, n - n_zero - n_plus, n_zero)
 
 
-def _eliminate_fraction(m: ExactMatrix) -> tuple:
-    """Row echelon form by Gaussian elimination over Fractions:
-    (rank, echelon rows, sign of the row permutation)."""
+def _eliminate_fraction(m) -> tuple:
+    """Row echelon form of integer rows by Gaussian elimination over
+    Fractions: (rank, echelon rows, sign of the row permutation)."""
     a = fraction_rows(m)
+    rows, cols = len(a), len(a[0])
     rank, sign = 0, 1
-    for col in range(m.cols):
-        pivot = next((r for r in range(rank, m.rows) if a[r][col] != 0), None)
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if a[r][col] != 0), None)
         if pivot is None:
             continue
         if pivot != rank:
             a[rank], a[pivot] = a[pivot], a[rank]
             sign = -sign
         pv = a[rank][col]
-        for r in range(rank + 1, m.rows):
+        for r in range(rank + 1, rows):
             if a[r][col] != 0:
                 f = a[r][col] / pv
-                for c in range(col, m.cols):
+                for c in range(col, cols):
                     a[r][c] -= f * a[rank][c]
         rank += 1
-        if rank == m.rows:
+        if rank == rows:
             break
     return rank, a, sign
 
 
-def rank_fraction(m: ExactMatrix) -> int:
+def rank_fraction(m) -> int:
     """Rank over Q by Gaussian elimination over Fractions."""
     return _eliminate_fraction(m)[0]
 
 
-def det_fraction(m: ExactMatrix) -> Fraction:
-    """Determinant: the signed product of the Fraction echelon diagonal."""
-    assert m.rows == m.cols
+def det_fraction(m) -> Fraction:
+    """Determinant of square integer rows: the signed product of the
+    Fraction echelon diagonal."""
+    assert all(len(row) == len(m) for row in m)
     _, a, sign = _eliminate_fraction(m)
-    return sign * math.prod(a[i][i] for i in range(m.rows))
+    return sign * math.prod(a[i][i] for i in range(len(m)))
 
 
-def signature_fraction(m: ExactMatrix) -> Signature:
-    """Inertia by congruence diagonalisation over Fractions, pairing every
-    row operation with the same column operation; a zero diagonal entry
-    with a nonzero partner is repaired by adding (or subtracting) the
-    partner row and column."""
-    assert m.entries == tuple(zip(*m.entries))
-    n = m.rows
+def signature_fraction(m) -> Signature:
+    """Inertia of symmetric integer rows by congruence diagonalisation over
+    Fractions, pairing every row operation with the same column operation;
+    a zero diagonal entry with a nonzero partner is repaired by adding (or
+    subtracting) the partner row and column."""
+    assert list(map(tuple, m)) == list(zip(*m))
+    n = len(m)
     a = fraction_rows(m)
     for i in range(n):
         if a[i][i] == 0:
@@ -188,15 +190,15 @@ def kunneth_quadric(a: int, b: int) -> tuple:
     )
 
 
-def random_symmetric(rng: random.Random, n: int, magnitude: int = 4) -> ExactMatrix:
+def random_symmetric(rng: random.Random, n: int, magnitude: int = 4) -> list:
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             a[i][j] = a[j][i] = rng.randint(-magnitude, magnitude)
-    return ExactMatrix.from_rows(a)
+    return a
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> ExactMatrix:
+def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> list:
     """Product of elementary integer row operations: determinant is +-1."""
     a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):
@@ -210,7 +212,7 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> ExactMatri
             a[i], a[j] = a[j], a[i]
         else:
             a[i] = [-x for x in a[i]]
-    return ExactMatrix.from_rows(a)
+    return a
 
 
 def random_acyclic_quiver(rng: random.Random, max_vertices: int = 6, min_vertices: int = 1):
@@ -257,13 +259,13 @@ def forbidden_subquiver_all_sizes(quiver):
     """Smallest, then lexicographically first, vertex subset whose full
     subquiver has rank(chi^-) > 2, scanning subsets of every size and
     building each subquiver."""
-    from quivsurf.linalg import ExactMatrix, rank_rational
+    from quivsurf.linalg import rank_rational
     from quivsurf.quivers import chi_minus, euler_matrix_simples
 
     for size in range(4, quiver.vertices + 1):
         for subset in itertools.combinations(range(quiver.vertices), size):
             sub = induced_subquiver(quiver, subset)
-            if rank_rational(ExactMatrix.from_rows(chi_minus(euler_matrix_simples(sub)))) > 2:
+            if rank_rational(chi_minus(euler_matrix_simples(sub))) > 2:
                 return subset
     return None
 

@@ -660,6 +660,19 @@ def test_obstruct_limits_gram_json_rows(tmp_path, capsys):
     assert code == 1 and json.loads(out)["result"]["rank_chi_minus"] == 100
 
 
+def test_obstruct_limits_gram_json_entries(tmp_path, capsys):
+    # the exact rank and signature grow with the digits of the entries: a
+    # 100-row unitriangular Gram with 20-digit entries took 10.7 s
+    edge = [[1, cli.GRAM_ENTRY_BOUND], [0, 1]]
+    code, out, _ = run_cli(capsys, "obstruct", write_json(tmp_path, "edge.json", {"gram": edge}))
+    assert code == 0 and json.loads(out)["result"]["signature_chi_plus"] == [1, 1, 0]
+    for big in (cli.GRAM_ENTRY_BOUND + 1, -(10**20)):
+        path = write_json(tmp_path, "big.json", {"gram": [[1, 0, 0], [0, 1, big], [0, 0, 1]]})
+        code, out, err = run_cli(capsys, "obstruct", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: Gram matrix entry is limited to 999999 in absolute value, got {abs(big)}\n"
+
+
 def blown_up_fan(n_rays):
     """A smooth fan of n_rays rays from P1xP1 by blow-ups at spread walls."""
     s, wall = preset("P1xP1"), 0

@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivsurf import quivers
 from quivsurf.linalg import (
     ExactMatrix,
     Signature,
@@ -99,10 +100,10 @@ def test_bareiss_rank_matches_fraction_elimination(m):
     assert rank_rational(m) == rank_fraction(m)
 
 
-def echelon_det(m: ExactMatrix) -> int:
-    """The determinant of an integer matrix as the CLI reads it off a Gram
-    matrix: the second value of _echelon on its rows."""
-    return _echelon([list(map(int, row)) for row in m.entries])[1]
+def echelon_det(m) -> int:
+    """The determinant of integer rows as the CLI reads it off a Gram
+    matrix: the second value of _echelon on a copy of the rows."""
+    return _echelon([list(row) for row in m])[1]
 
 
 @PROPERTY
@@ -124,7 +125,7 @@ def test_bareiss_det_of_unimodular_matrices(n, seed):
 @given(st.one_of(symmetric_matrices(integers), symmetric_matrices(entries)))
 def test_integer_signature_matches_fraction_congruence(m):
     assert signature_symmetric(m) == signature_fraction(m)
-    if m.rows <= 8:  # the Fraction charpoly takes about 0.26 s at 15x15
+    if len(m) <= 8:  # the Fraction charpoly takes about 0.26 s at 15x15
         assert signature_fraction(m) == signature_by_charpoly(m)
 
 
@@ -141,6 +142,52 @@ def test_building_a_matrix_keeps_no_tuples():
     for _ in range(300):
         signature_symmetric(ExactMatrix.from_rows(rows))
     assert sys.getallocatedblocks() - before < 200
+
+
+@PROPERTY
+@given(st.one_of(matrices(), symmetric_matrices(integers)))
+def test_routines_read_lists_tuples_and_exact_matrices_alike(m):
+    # plain lists, tuples and ExactMatrix.from_rows of the same integer rows
+    lists, tuples = [list(row) for row in m], tuple(map(tuple, m))
+    assert ExactMatrix.from_rows(lists) == tuples
+    sources = (lists, tuples, ExactMatrix.from_rows(lists))
+    rank = rank_fraction(lists)
+    assert [rank_rational(rows) for rows in sources] == [rank] * 3
+    if list(map(tuple, lists)) == list(zip(*lists)):
+        sig = signature_symmetric(lists)
+        assert [signature_symmetric(rows) for rows in sources] == [sig] * 3
+        assert sig == signature_fraction(lists)
+        if len(lists) <= 8:  # the Fraction charpoly takes about 0.26 s at 15x15
+            assert sig == signature_by_charpoly(lists)
+    # the elimination runs on a copy: the caller's rows are left as they were
+    assert lists == [list(row) for row in tuples]
+
+
+@pytest.mark.parametrize("routine", [rank_rational, signature_symmetric])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 2], [3]], "entry grid does not match declared shape"),
+        ([[1], [2, 3]], "entry grid does not match declared shape"),
+        ([], "matrix must be non-empty"),
+        ([[], []], "matrix must be non-empty"),
+        (5, "matrix: expected a sequence, got 5"),
+        ([[1], 5], "matrix entry: expected a sequence, got 5"),
+    ],
+)
+def test_plain_rows_are_checked(routine, rows, message):
+    # the shape messages of ExactMatrix.from_rows; non-integer entries are
+    # in tests/test_values.py
+    with pytest.raises(ValueError) as info:
+        routine(rows)
+    assert str(info.value) == message
+
+
+def test_linalg_takes_the_rows_quivers_builds():
+    assert rank_rational([[1, 2], [2, 4]]) == 1
+    assert signature_symmetric([[2, 1], [1, 2]]) == Signature(2, 0, 0)
+    assert not hasattr(quivers, "ExactMatrix")
+    assert not hasattr(ExactMatrix, "_of")
 
 
 def test_rank_zero_matrix():
@@ -188,8 +235,8 @@ def test_rank_invariant_under_unimodular_congruence():
     for _ in range(60):
         n = rng.randint(1, 6)
         m = random_symmetric(rng, n)
-        u = random_unimodular(rng, n).entries
-        congruent = ExactMatrix.from_rows(matmul(matmul(transpose(u), m.entries), u))
+        u = random_unimodular(rng, n)
+        congruent = matmul(matmul(transpose(u), m), u)
         assert rank_rational(congruent) == rank_rational(m)
 
 
@@ -198,8 +245,8 @@ def test_signature_invariant_under_unimodular_congruence():
     for _ in range(60):
         n = rng.randint(1, 6)
         m = random_symmetric(rng, n)
-        u = random_unimodular(rng, n).entries
-        congruent = ExactMatrix.from_rows(matmul(matmul(transpose(u), m.entries), u))
+        u = random_unimodular(rng, n)
+        congruent = matmul(matmul(transpose(u), m), u)
         assert signature_symmetric(congruent) == signature_symmetric(m)
 
 

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivsurf.exceptional import pair_hom, search_abc, search_kronecker, search_paths, solve_abc
-from quivsurf.linalg import ExactMatrix
 from quivsurf.quivers import Quiver, euler_matrix_simples, forbidden_full_subquiver, obstruction_report
 from quivsurf.toric import ConsistencyError, KClass, ToricSurface, random_blowup_surface
 
@@ -289,8 +288,8 @@ def test_obstruction_report_reads_every_euler_form_alike(seed):
     gram = [[int(i == j) or (rng.choice((-2, -1, 0, 0, 1, 2, 3)) if j > i else 0) for j in range(m)] for i in range(m)]
     for e, sources in ((rows, (q, rows, tuple(map(tuple, rows)))), (gram, (gram,))):
         pairs = [list(zip(row, col)) for row, col in zip(e, transpose(e))]
-        rank = rank_fraction(ExactMatrix.from_rows([[x - y for x, y in row] for row in pairs]))
-        sig = signature_by_charpoly(ExactMatrix.from_rows([[x + y for x, y in row] for row in pairs]))
+        rank = rank_fraction([[x - y for x, y in row] for row in pairs])
+        sig = signature_by_charpoly([[x + y for x, y in row] for row in pairs])
         for source in sources:
             report = obstruction_report(source)
             assert report[:4] == (rank, sig, rank <= 2, sig.n_minus <= 2)

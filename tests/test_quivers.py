@@ -260,10 +260,10 @@ def test_forbidden_subquiver_minimality():
 WORST_CASE = Quiver(15, ((11, 12), (12, 13), (13, 14)))
 
 
-def test_worst_case_scan_ranks_each_minor_unchecked(monkeypatch):
+def test_worst_case_scan_checks_each_minor_in_its_rank_copy(monkeypatch):
     # one rank per scanned subset, each of the principal minor of chi^- on
-    # that subset in lexicographic order, and no minor goes through the
-    # entry check of ExactMatrix.from_rows
+    # that subset in lexicographic order, passed as int rows and read once
+    # by the entry check of linalg._int_rows, in the copy it eliminates
     assert witness_by_pfaffian(WORST_CASE) == (11, 12, 13, 14)
     calls = {"rank_rational": 0, "_int_rows": 0}
     minors = []
@@ -274,7 +274,7 @@ def test_worst_case_scan_ranks_each_minor_unchecked(monkeypatch):
         def wrapper(*args):
             calls[name] += 1
             if name == "rank_rational":
-                minors.append(args[0].entries)
+                minors.append(tuple(args[0]))
             return inner(*args)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -282,7 +282,7 @@ def test_worst_case_scan_ranks_each_minor_unchecked(monkeypatch):
     count(quivers_module, "rank_rational")
     count(linalg, "_int_rows")
     assert forbidden_full_subquiver(WORST_CASE) == (11, 12, 13, 14)
-    assert calls == {"rank_rational": 1365, "_int_rows": 0}
+    assert calls == {"rank_rational": 1365, "_int_rows": 1365}
     m = chi_minus(euler_matrix_simples(WORST_CASE))
     expected = [
         tuple(tuple(m[i][j] for j in subset) for i in subset)

@@ -20,7 +20,7 @@ from quivsurf.exceptional import (
     line_collection,
     pair_hom,
 )
-from quivsurf.linalg import ExactMatrix, Signature
+from quivsurf.linalg import ExactMatrix, Signature, rank_rational, signature_symmetric
 from quivsurf.quivers import ObstructionReport, Quiver, chi_minus, chi_plus, obstruction_report
 from quivsurf.toric import KClass, ToricSurface, p1_cohomology, p1xp1, projective_plane
 
@@ -28,7 +28,6 @@ HOM = ((1, 0, 0), (0, 0, 0))
 
 # (constructor, its arguments, one field name): every value and record type
 VALUES = [
-    (ExactMatrix.from_rows, (((1, 2), (3, 4)),), "entries"),
     (Quiver, (3, ((0, 1), (1, 2), (0, 2))), "arrows"),
     (KClass, (1, (2, -1), 3), "twice_ch2"),
     (LineBundle, ((1, 0, -1),), "divisor"),
@@ -67,6 +66,19 @@ def test_values_of_different_classes_or_fields_differ():
     assert ExactMatrix.from_rows([[1]]) != ExactMatrix.from_rows([[1, 0]])
 
 
+def test_exact_matrix_is_a_tuple_of_int_tuples():
+    # the tuple contract: equal rows give equal matrices with equal hashes,
+    # the rows cannot be replaced or given fields, and the repr is a tuple's
+    x, y = ExactMatrix.from_rows([[1, 2], [3, 4]]), ExactMatrix.from_rows(((1, 2), (3, 4)))
+    assert x is not y and x == y == ((1, 2), (3, 4)) and hash(x) == hash(y)
+    assert isinstance(x, tuple) and all(type(row) is tuple for row in x)
+    with pytest.raises(TypeError):
+        x[0] = (5, 6)
+    with pytest.raises(AttributeError):
+        x.rows = 2
+    assert repr(x) == "((1, 2), (3, 4))"
+
+
 def test_exact_matrix_is_built_by_from_rows_only():
     # no declared-shape constructor, and no instance with unset fields
     for args in ((2, 2, ((1, 2), (3, 4))), ()):
@@ -79,13 +91,10 @@ def test_validating_constructors_normalise_fields():
     assert Quiver(2, [[0, 1]]).arrows == ((0, 1),)
     assert KClass(1, [0, 0], 0).twice_ch2 == 0 and KClass(1, [0, 0], 0).c1 == (0, 0)
     assert LineBundle([1, 2, 3]).divisor == (1, 2, 3)
-    assert ExactMatrix.from_rows([[2]]).entries == ((2,),)
-    entries = ExactMatrix.from_rows([[2, True]]).entries[0]
-    assert list(map(type, entries)) == [int, int]
-    assert entries == (2, 1)
-    assert repr(ExactMatrix.from_rows([[1, 0], [0, 2]])) == (
-        "ExactMatrix(rows=2, cols=2, entries=((1, 0), (0, 2)))"
-    )
+    assert ExactMatrix.from_rows([[2]]) == ((2,),)
+    row = ExactMatrix.from_rows([[2, True]])[0]
+    assert list(map(type, row)) == [int, int]
+    assert row == (2, 1)
     assert repr(Quiver(2, ((0, 1),))) == "Quiver(vertices=2, arrows=((0, 1),))"
 
 
@@ -173,6 +182,10 @@ NON_INTEGER_ENTRY_POINTS = {
     "obstruction_report": lambda x: obstruction_report([[1, x], [0, 1]]),
     "ExactMatrix entry": lambda x: ExactMatrix.from_rows([[1, x], [0, 1]]),
     "ExactMatrix row from a generator": lambda x: ExactMatrix.from_rows([(c for c in (1, x)), (0, 1)]),
+    "rank_rational": lambda x: rank_rational([[1, x], [0, 1]]),
+    "rank_rational row from a generator": lambda x: rank_rational([(0, 1), (c for c in (1, x))]),
+    "signature_symmetric": lambda x: signature_symmetric(((1, 0), (0, x))),
+    "signature_symmetric row from a generator": lambda x: signature_symmetric([(1, 0), (c for c in (0, x))]),
     "chi_minus": lambda x: chi_minus([[1, x], [0, 1]]),
     "chi_plus": lambda x: chi_plus([[1, x], [0, 1]]),
     "p1_cohomology": p1_cohomology,
