@@ -61,24 +61,13 @@ def _as_int(value, what: str, least: Optional[int] = None, most: Optional[int] =
 
 
 def _int_rows(rows, what: str) -> list:
-    """rows as fresh lists of ints, read by operator.index: the one reader
-    of integer grids. A list or tuple row is read by one map; any other row,
-    and one that holds a non-integer, is read by _as_ints, which names the
-    bad entry: "{what} entry 0.5 is not an integer". A grid or row that is
-    not iterable raises ValueError naming what."""
-    out = []
+    """rows as fresh lists of ints, each row read by _as_ints, which names
+    a bad entry ("{what} entry 0.5 is not an integer"): the one reader of
+    integer grids. A grid or row that is not iterable raises ValueError."""
     try:
-        for row in rows:
-            if isinstance(row, (list, tuple)):
-                try:
-                    out.append(list(map(operator.index, row)))
-                    continue
-                except TypeError:
-                    pass
-            out.append(list(_as_ints(row, f"{what} entry")))
+        return [list(_as_ints(row, f"{what} entry")) for row in rows]
     except TypeError:
         raise ValueError(f"{what}: expected a sequence, got {rows!r}") from None
-    return out
 
 
 def _square_ints(rows, what: str) -> list:
