@@ -149,11 +149,12 @@ def _read_quiver(data) -> Quiver:
 def _read_gram(data) -> list:
     rows = _ints(_field(data, "gram", "Gram-matrix"), "Gram matrix", 2)
     _at_most(len(rows), JSON_VERTEX_BOUND, "Gram JSON", "rows")
-    rows = _square_ints(rows, "Gram matrix")
-    big = next((x for row in rows for x in row if abs(x) > GRAM_ENTRY_BOUND), None)
+    # rows are plain int lists already; the determinant eliminates the copy
+    square = _square_ints(rows, "Gram matrix")
+    big = next((x for row in square for x in row if abs(x) > GRAM_ENTRY_BOUND), None)
     if big is not None:
         raise ValueError(f"Gram matrix entry is limited to {GRAM_ENTRY_BOUND} in absolute value, got {big}")
-    det = _echelon([list(row) for row in rows])[1]
+    det = _echelon(square)[1]
     if det not in (1, -1):
         raise ValueError(f"Gram matrix must be unimodular, but its determinant is {det}")
     return rows

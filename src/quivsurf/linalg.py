@@ -61,13 +61,23 @@ def _as_int(value, what: str, least: Optional[int] = None, most: Optional[int] =
 
 
 def _int_rows(rows, what: str) -> list:
-    """rows as fresh lists of ints, each row read by _as_ints, which names
-    a bad entry ("{what} entry 0.5 is not an integer"): the one reader of
-    integer grids. A grid or row that is not iterable raises ValueError."""
+    """rows as fresh lists of ints, the one reader of integer grids: the
+    grid and each row are read once, a row into a tuple, and converted by
+    one map of operator.index. Only if that fails does _as_ints read the
+    rows in order, to name the first bad row or entry with a ValueError."""
     try:
-        return [list(_as_ints(row, f"{what} entry")) for row in rows]
+        rows = [*rows]
     except TypeError:
         raise ValueError(f"{what}: expected a sequence, got {rows!r}") from None
+    read = []
+    try:
+        for row in rows:
+            read.append(tuple(row))
+        return [[*map(operator.index, row)] for row in read]
+    except TypeError:
+        for row in read + rows[len(read):]:
+            _as_ints(row, f"{what} entry")
+        raise
 
 
 def _square_ints(rows, what: str) -> list:
@@ -95,8 +105,9 @@ def _rect_ints(rows) -> list:
 class FrozenValue:
     """Base of the validating value types: the fields are the __slots__,
     set once by the subclass __init__ through _init. Instances compare,
-    hash and print by class and field values, and assigning or deleting
-    a field raises AttributeError."""
+    hash and print by class and field values, assigning or deleting a
+    field raises AttributeError, and copy and pickle rebuild an instance
+    through the checked __init__."""
 
     __slots__ = ()
 
@@ -112,6 +123,9 @@ class FrozenValue:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -130,12 +144,16 @@ class ExactMatrix(tuple):
     """A non-empty rectangular tuple of int tuples, built only by from_rows,
     which checks rows as rank_rational and signature_symmetric do (each
     entry by operator.index, so a Fraction, float or string entry raises
-    ValueError, as does an empty or ragged grid)."""
+    ValueError, as does an empty or ragged grid); copy and pickle rebuild
+    a matrix through from_rows."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("build an ExactMatrix with ExactMatrix.from_rows")
+
+    def __reduce__(self):
+        return type(self).from_rows, (tuple(self),)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "ExactMatrix":

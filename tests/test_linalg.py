@@ -4,11 +4,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivsurf import quivers
+from quivsurf import linalg, quivers
 from quivsurf.linalg import (
     ExactMatrix,
     Signature,
     _echelon,
+    _int_rows,
     _square_ints,
     rank_rational,
     signature_symmetric,
@@ -181,6 +182,35 @@ def test_plain_rows_are_checked(routine, rows, message):
     with pytest.raises(ValueError) as info:
         routine(rows)
     assert str(info.value) == message
+
+
+def test_reader_reads_generators_once():
+    # a bad entry of a generator row and a row that is not iterable are in
+    # tests/test_values.py and test_plain_rows_are_checked
+    grid = ((x for x in row) for row in [[1, 2], [3, 4]])
+    assert _int_rows(grid, "matrix") == [[1, 2], [3, 4]]
+    # the bad entry of a generator row read before a row that is not
+    # iterable is still named first, as a row-by-row read would
+    with pytest.raises(ValueError, match=r"^matrix entry 0\.5 is not an integer$"):
+        _int_rows([(x for x in (0.5,)), 5], "matrix")
+
+
+def test_reader_names_entries_only_on_failure(monkeypatch):
+    # a valid grid is converted in one pass: _as_ints, which names a bad row
+    # or entry, runs only once that pass has failed
+    calls = []
+    inner = linalg._as_ints
+
+    def counting(values, what):
+        calls.append(what)
+        return inner(values, what)
+
+    monkeypatch.setattr(linalg, "_as_ints", counting)
+    assert _int_rows([(1, -2), [3, True]], "matrix") == [[1, -2], [3, 1]]
+    assert calls == []
+    with pytest.raises(ValueError, match=r"^Gram matrix entry '4' is not an integer$"):
+        _int_rows([(1, 2), [3, "4"]], "Gram matrix")
+    assert calls == ["Gram matrix entry"] * 2
 
 
 def test_linalg_takes_the_rows_quivers_builds():

@@ -262,8 +262,9 @@ WORST_CASE = Quiver(15, ((11, 12), (12, 13), (13, 14)))
 
 def test_worst_case_scan_checks_each_minor_in_its_rank_copy(monkeypatch):
     # one rank per scanned subset, each of the principal minor of chi^- on
-    # that subset in lexicographic order, passed as int rows and read once
-    # by the entry check of linalg._int_rows, in the copy it eliminates
+    # that subset in lexicographic order, passed as int tuples and checked
+    # once by linalg._int_rows, whose one pass over the valid rows makes
+    # the lists that rank_rational eliminates
     assert witness_by_pfaffian(WORST_CASE) == (11, 12, 13, 14)
     calls = {"rank_rational": 0, "_int_rows": 0}
     minors = []

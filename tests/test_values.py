@@ -3,6 +3,8 @@ arguments give equal objects with equal hashes, fields are read-only, the
 repr names the class, and each constructor rejects bad input with its
 documented message."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -84,6 +86,27 @@ def test_exact_matrix_is_built_by_from_rows_only():
     for args in ((2, 2, ((1, 2), (3, 4))), ()):
         with pytest.raises(TypeError, match=r"^build an ExactMatrix with ExactMatrix\.from_rows$"):
             ExactMatrix(*args)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Quiver(2, ((0, 1),)),
+        KClass(1, (0, 0, 0), 0),
+        LineBundle((0, 0, 0)),
+        Collection(projective_plane(), (LineBundle((0, 0, 0)), CurveSheaf(1))),
+        ExactMatrix.from_rows([[1, 2], [3, 4]]),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_values_survive_copy_and_pickle(value):
+    # each copy is rebuilt through the checked constructor, so it is equal,
+    # of the same class, and as read-only as the original
+    pickles = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [copy.copy(value), copy.deepcopy(value), *pickles]:
+        assert twin == value and type(twin) is type(value) and hash(twin) == hash(value)
+        with pytest.raises(AttributeError):
+            twin.rank = 2
 
 
 def test_validating_constructors_normalise_fields():
