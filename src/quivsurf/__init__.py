@@ -49,44 +49,3 @@ from .exceptional import (
     verify_divisor_table,
     verify_star_family,
 )
-
-__all__ = [
-    "__version__",
-    "ExactMatrix",
-    "Signature",
-    "rank_rational",
-    "signature_symmetric",
-    "ObstructionReport",
-    "Quiver",
-    "chi_minus",
-    "chi_plus",
-    "euler_matrix_simples",
-    "forbidden_full_subquiver",
-    "obstruction_report",
-    "paths_matrix",
-    "reflect",
-    "CohDims",
-    "ConsistencyError",
-    "FanError",
-    "KClass",
-    "ToricSurface",
-    "blowup_p2",
-    "hirzebruch",
-    "p1xp1",
-    "preset",
-    "projective_plane",
-    "Collection",
-    "CurveSheaf",
-    "LineBundle",
-    "VerifyResult",
-    "abc_of",
-    "ext_dims",
-    "line_collection",
-    "search_abc",
-    "search_kronecker",
-    "search_paths",
-    "solve_abc",
-    "verify_collection",
-    "verify_divisor_table",
-    "verify_star_family",
-]

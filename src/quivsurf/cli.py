@@ -13,13 +13,11 @@ than cli.JSON_VERTEX_BOUND = 100 vertices, Gram JSON with more than 100
 rows, collection JSON with more than 100 objects or fan JSON with more
 than 100 rays (the same bound), Gram JSON with an entry above
 cli.GRAM_ENTRY_BOUND = 999999 in absolute value, a search box of more than
-cli.SEARCH_BOX_BOUND = 10000 Picard vectors, a toric coh divisor, a verify
-collection or a search box whose lattice counts would test more than
-cli.LATTICE_TEST_BOUND = 3200000 ray inequalities (box points times rays,
-over D and K - D for toric coh and for every vector of the search box, and
-over every difference of two line bundles for verify), solve-abc --max
-above cli.SOLVE_ABC_BOUND = 10000, and reproduce --m-max above
-cli.REPRODUCE_M_MAX_BOUND = 40;
+cli.SEARCH_BOX_BOUND = 10000 Picard vectors, lattice counts that would
+test more than cli.LATTICE_TEST_BOUND = 3200000 ray inequalities in all
+(box points times rays: the budget of every fan read here, which
+h0_lattice_points spends), solve-abc --max above cli.SOLVE_ABC_BOUND =
+10000, and reproduce --m-max above cli.REPRODUCE_M_MAX_BOUND = 40;
 3 an internal error (any exception other than an input error: a failed
 exact identity, input nested too deeply to read, a bug; or a report that
 could not be written), reported as one line on stderr and never as a
@@ -49,7 +47,6 @@ from .exceptional import (
     CurveSheaf,
     LineBundle,
     _abc,
-    _ext_lattice_tests,
     search_abc,
     solve_abc,
     verify_collection,
@@ -72,18 +69,19 @@ JSON_VERTEX_BOUND = 100
 # Largest absolute value of a Gram JSON entry: a 100-row unitriangular Gram of
 # random-sign 6-digit entries took 1.5 s (median of 5 runs), of 20-digit 10.7 s.
 GRAM_ENTRY_BOUND = 999999
-# Most ray inequalities (box points times rays) that toric coh (over D and
-# K - D), verify (over every difference of two line bundles) and search (over
-# D and K - D of every vector of its box) may test, about one second of work:
-# P2 with D = (N, 0, 0) tests 3 (N + 1)^2, 3,195,072 at N = 1031 in 0.9 s of
-# toric coh, and search dP6 1 1 1 --bound 4 tests 3,185,460 in 0.9-1.2 s.
+# The lattice budget of every fan read here: the most ray inequalities (box
+# points times rays) that the lattice counts of a command may test in all,
+# about one second of work. h0_lattice_points spends it and raises before the
+# count that would overdraw it: P2 with D = (N, 0, 0) tests 3 (N + 1)^2,
+# 3,195,072 at N = 1031 in 0.9 s of toric coh, and search dP6 1 1 1
+# --bound 4 tests 3,185,460 in about 1 s.
 LATTICE_TEST_BOUND = 3200000
 # Largest solve-abc --max: the report lists about 4 * max triples.
 SOLVE_ABC_BOUND = 10000
 # Most Picard vectors in a search box (2 * bound + 1)^rho: 6,561 on dP6
-# (--bound 4) take about 1 s, 14,641 (--bound 5) about 3 s. The lattice-test
-# charge cannot see the other work of each vector (one with entries in
-# {-1, 0} scans nothing), and computing it walks the whole box.
+# (--bound 4) take about 1 s, 14,641 (--bound 5) about 3 s. The lattice
+# budget cannot see the other work of each vector (one with entries in
+# {-1, 0} scans nothing), and a box too large is rejected before its scan.
 SEARCH_BOX_BOUND = 10000
 # Largest reproduce --m-max: the divisor table grows about as m^2.5, from
 # about 0.75 s at 40 to 2.8 s at 80.
@@ -136,7 +134,9 @@ def _at_most(count: int, bound: int, what: str, unit: str = "") -> None:
 def _read_fan(data) -> ToricSurface:
     rays = _ints(_field(data, "rays", "fan"), "fan rays", 2)
     _at_most(len(rays), JSON_VERTEX_BOUND, "fan JSON", "rays")
-    return ToricSurface(rays)
+    surface = ToricSurface(rays)
+    surface._lattice_budget = LATTICE_TEST_BOUND
+    return surface
 
 
 def _read_quiver(data) -> Quiver:
@@ -194,7 +194,9 @@ def _read_collection(data) -> Collection:
 def _load_fan(arg: str) -> ToricSurface:
     """A fan file, '-' for stdin, or a named preset."""
     if arg != "-" and not Path(arg).exists() and arg in PRESETS:
-        return preset(arg)
+        surface = preset(arg)
+        surface._lattice_budget = LATTICE_TEST_BOUND
+        return surface
     return _read_fan(_load_json(arg))
 
 
@@ -222,14 +224,6 @@ def cmd_obstruct(args) -> tuple:
     return {**report._asdict(), "passes": report.passes}, report.passes
 
 
-def _limit_lattice_tests(command: str, what: str, tests: int) -> None:
-    if tests > LATTICE_TEST_BOUND:
-        raise ValueError(
-            f"{command} would test {tests} lattice inequalities for {what}; "
-            f"the limit is {LATTICE_TEST_BOUND}"
-        )
-
-
 def cmd_toric(args) -> tuple:
     if args.subcommand == "knum" and args.divisor is not None:
         raise ValueError("toric knum takes no divisor (-d)")
@@ -242,7 +236,6 @@ def cmd_toric(args) -> tuple:
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid divisor JSON: {exc}")
         divisor = surface._check_divisor(_read_divisor(surface, raw_divisor))
-        _limit_lattice_tests("toric coh", "D and K - D", surface._coh_lattice_tests(divisor))
         h, chi = surface._coh(divisor), surface._chi(divisor)
         return {"rays": surface.rays, "divisor": divisor, "h": h, "chi": chi}, True
     gram = surface.knum_gram()
@@ -262,7 +255,6 @@ def cmd_toric(args) -> tuple:
 
 def cmd_verify(args) -> tuple:
     collection = _read_collection(_load_json(args.input))
-    _limit_lattice_tests("verify", "the line-bundle differences", _ext_lattice_tests(collection))
     result = verify_collection(collection, strong=args.strong)
     payload = {
         "objects": len(collection),
@@ -288,7 +280,6 @@ def cmd_search(args) -> tuple:
             f"search box (2 * {args.bound} + 1)^{surface.picard_rank} has {box} points; "
             f"the limit is {SEARCH_BOX_BOUND}"
         )
-    _limit_lattice_tests("search", "the box", surface._box_lattice_tests(args.bound))
     outcome = search_abc(surface, args.a, args.b, args.c, bound=args.bound)
     payload = {
         "triple": outcome.triple,

@@ -84,13 +84,6 @@ def ext_dims(c: Collection, i: int, j: int) -> tuple:
     return s.ext_curve_pair(x.ray, y.ray)
 
 
-def _ext_lattice_tests(c: Collection) -> int:
-    """The most ray inequalities that ext_dims tests over the table of c: the
-    cache counts each difference E - D of two line bundles once, curves none."""
-    lines = [obj.divisor for obj in c.objects if isinstance(obj, LineBundle)]
-    return sum(map(c.surface._coh_lattice_tests, {sub_divisors(e, d) for d in lines for e in lines}))
-
-
 class PairFailure(NamedTuple):
     i: int
     j: int

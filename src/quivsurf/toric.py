@@ -141,6 +141,8 @@ class ToricSurface:
             selfints.append(-p)
         self.self_intersections: tuple = tuple(selfints)
         self._coh_cache: dict = {}  # checked divisor -> CohDims
+        # ray inequalities h0_lattice_points may still test; None is no limit
+        self._lattice_budget: Optional[int] = None
         self._pair_levels: dict = {}  # bound -> (levels, values), filled by _strong_pairs
         # canonical divisor -sum(D_i)
         self.canonical: tuple = (-1,) * n
@@ -251,21 +253,26 @@ class ToricSurface:
             ys.append(c * di - a * dj)
         return range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)
 
-    def _coh_lattice_tests(self, d: tuple) -> int:
-        """Most ray inequalities that the lattice counts of D and K - D in
-        _count_coh test for a checked divisor: their box points times the
-        ray count. A box side is stop - start: len() of a range longer than
-        sys.maxsize raises OverflowError."""
-        boxes = (self._section_box(e) for e in (d, tuple([-1 - c for c in d])))
-        return len(self.rays) * sum((xs.stop - xs.start) * (ys.stop - ys.start) for xs, ys in boxes)
-
     def h0_lattice_points(self, d: Sequence[int]) -> int:
         """Global sections = lattice points of {m : <m, v_i> >= -d_i for all
         i}, counted over the box of _section_box. Along a column x, ray
         (a_i, b_i) admits y when b_i y >= t_i = -d_i - a_i x, so each
-        threshold is computed once per column."""
+        threshold is computed once per column.
+
+        A surface with a lattice budget spends box points times rays of it
+        here; a count that would overdraw it raises ValueError before it
+        tests a point, and spends nothing. A box side is stop - start:
+        len() of a range longer than sys.maxsize raises OverflowError."""
         d = self._check_divisor(d)
         xs, ys = self._section_box(d)
+        if self._lattice_budget is not None:
+            tests = len(self.rays) * (xs.stop - xs.start) * (ys.stop - ys.start)
+            if tests > self._lattice_budget:
+                raise ValueError(
+                    f"a lattice count would test {tests} ray inequalities, but only "
+                    f"{self._lattice_budget} remain of the lattice budget"
+                )
+            self._lattice_budget -= tests
         terms = [(a, b, -di) for (a, b), di in zip(self.rays, d)]
         count = 0
         for x in xs:
@@ -307,11 +314,6 @@ class ToricSurface:
     def _picard_box(self, bound: int):
         """[-bound, bound]^rho as Picard vectors, in lexicographic order."""
         return itertools.product(range(-bound, bound + 1), repeat=self.picard_rank)
-
-    def _box_lattice_tests(self, bound: int) -> int:
-        """The most ray inequalities that _strong_pairs(bound) tests: the
-        _coh_lattice_tests of every vector of its box."""
-        return sum(self._coh_lattice_tests(self._lift(v)) for v in self._picard_box(bound))
 
     def _strong_pairs(self, bound: int) -> tuple:
         """(levels, hom) for the Picard box: levels maps n to the level set

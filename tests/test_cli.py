@@ -11,7 +11,6 @@ import pytest
 
 from quivsurf import cli, exceptional
 from quivsurf.cli import main
-from quivsurf.exceptional import AbcSearchResult
 from quivsurf.quivers import Quiver, obstruction_report
 from quivsurf.toric import PRESETS, ConsistencyError, ToricSurface, blowup_p2, preset
 
@@ -530,16 +529,16 @@ def test_search_limits_the_box(capsys):
 def test_search_charges_its_lattice_tests(tmp_path, capsys, monkeypatch):
     # a small box is no cap on its own, since the lattice counts grow with
     # the rays and the coefficients: the 9 points of this fan at --bound 1
-    # would take hours
+    # would take hours, and the first of them overdraws the budget
     fan = write_json(tmp_path, "long.json", {"rays": [[1, 0], [0, 1], [-1, 1000000000], [0, -1]]})
     code, out, err = run_cli(capsys, "search", fan, "1", "1", "1", "--bound", "1")
     assert (code, out) == (2, "")
     assert err == (
-        "error: search would test 32000000060 lattice inequalities for the box; "
-        "the limit is 3200000\n"
+        "error: a lattice count would test 8000000016 ray inequalities, "
+        "but only 3200000 remain of the lattice budget\n"
     )
     assert_input_error(
-        capsys, "search", "F3", "1", "1", "1", "--bound", "30", message="test 24993508 lattice inequalities"
+        capsys, "search", "F3", "1", "1", "1", "--bound", "30", message="test 12840 ray inequalities, but only 6832"
     )
     code, out, _ = run_cli(capsys, "search", "P2", "1", "1", "1", "--bound", "9")
     assert code == 0 and json.loads(out)["result"]["bound"] == 9
@@ -550,25 +549,18 @@ def test_search_charges_its_lattice_tests(tmp_path, capsys, monkeypatch):
     assert code == 0
     monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 14)
     assert_input_error(
-        capsys, "search", "P2", "1", "1", "1", "--bound", "1", message="test 15 lattice inequalities"
+        capsys, "search", "P2", "1", "1", "1", "--bound", "1", message="test 12 ray inequalities, but only 11"
     )
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_search_charge_admits_every_preset_box(capsys, monkeypatch, name):
+def test_search_charge_admits_every_preset_box(capsys, name):
     # the largest box the former caps (--bound 8, 10,000 vectors) accepted:
-    # a stub stands in for the search, so only the charge is computed
+    # the whole search, differences outside the box included, fits the budget
     rho = preset(name).picard_rank
     bound = max(b for b in range(9) if (2 * b + 1) ** rho <= cli.SEARCH_BOX_BOUND)
-    seen = []
-
-    def stub(surface, a, b, c, bound):
-        seen.append(bound)
-        return AbcSearchResult((a, b, c), (), None)
-
-    monkeypatch.setattr(cli, "search_abc", stub)
-    code, _, _ = run_cli(capsys, "search", name, "1", "1", "1", "--bound", str(bound))
-    assert (code, seen) == (0, [bound])
+    code, out, _ = run_cli(capsys, "search", name, "1", "1", "1", "--bound", str(bound))
+    assert code == 0 and json.loads(out)["result"]["bound"] == bound
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -705,13 +697,13 @@ def test_toric_coh_limits_the_lattice_boxes(tmp_path, capsys, monkeypatch):
         code, out, err = run_cli(capsys, "toric", "coh", "P2", "-d", f"[{n}, 0, 0]")
         assert (code, out) == (2, "")
         assert err == (
-            f"error: toric coh would test {tests} lattice inequalities for D and K - D; "
-            "the limit is 3200000\n"
+            f"error: a lattice count would test {tests} ray inequalities, "
+            "but only 3200000 remain of the lattice budget\n"
         )
     # a long fan is charged for its rays: 390,726 box points with 100 rays each
     fan = write_json(tmp_path, "fan100.json", blown_up_fan(100))
     assert_input_error(
-        capsys, "toric", "coh", fan, "-d", json.dumps([5] * 100), message="test 39072600 lattice inequalities"
+        capsys, "toric", "coh", fan, "-d", json.dumps([5] * 100), message="test 39072600 ray inequalities"
     )
     # on P1xP1, D = (1, 0, -3, 0) and K - D = (-2, -1, 2, -1) scan 3 points
     # each, 4 rays at each point
@@ -720,7 +712,7 @@ def test_toric_coh_limits_the_lattice_boxes(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["result"]["h"] == [0, 1, 0]
     monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 23)
     assert_input_error(
-        capsys, "toric", "coh", "P1xP1", "-d", "[1, 0, -3, 0]", message="test 24 lattice inequalities"
+        capsys, "toric", "coh", "P1xP1", "-d", "[1, 0, -3, 0]", message="test 12 ray inequalities, but only 11"
     )
 
 
@@ -731,8 +723,8 @@ def test_verify_limits_the_lattice_tests(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "hostile.json", hostile))
     assert (code, out) == (2, "")
     assert err == (
-        "error: verify would test 59999400018 lattice inequalities for the line-bundle "
-        "differences; the limit is 3200000\n"
+        "error: a lattice count would test 30000600003 ray inequalities, "
+        "but only 3199997 remain of the lattice budget\n"
     )
     # (O, O(1), O(2)): each distinct difference once, 3 for 0, 12 + 0 for
     # +-1 and 27 + 12 for +-2
@@ -742,7 +734,7 @@ def test_verify_limits_the_lattice_tests(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", path, "--strong")
     assert code == 0 and json.loads(out)["result"]["ok"]
     monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 53)
-    assert_input_error(capsys, "verify", path, message="test 54 lattice inequalities")
+    assert_input_error(capsys, "verify", path, message="test 12 ray inequalities, but only 11")
     # curve sheaves scan nothing: (O, O_C0, O_C3) on dP6 tests only O - O
     mixed = {
         "fan": {"rays": [list(r) for r in preset("dP6").rays]},
@@ -753,7 +745,7 @@ def test_verify_limits_the_lattice_tests(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", path)
     assert code == 0
     monkeypatch.setattr(cli, "LATTICE_TEST_BOUND", 5)
-    assert_input_error(capsys, "verify", path, message="test 6 lattice inequalities")
+    assert_input_error(capsys, "verify", path, message="test 6 ray inequalities, but only 5")
 
 
 @pytest.mark.parametrize(
@@ -762,17 +754,16 @@ def test_verify_limits_the_lattice_tests(tmp_path, capsys, monkeypatch):
         # P2 with D = (-10^23, 0, 0) scans only K - D = (10^23 - 1, -1, -1)
         (
             ("toric", "coh", "P2", "-d", "[-100000000000000000000000,0,0]"),
-            "toric coh would test 29999999999999999999998800000000000000000000012 lattice "
-            "inequalities for D and K - D",
+            "29999999999999999999998800000000000000000000012 ray inequalities, but only 3200000",
         ),
+        # the difference 0 spends 3 before O(10^23) overdraws the rest
         (
             ("verify", "huge.json"),
-            "verify would test 59999999999999999999999400000000000000000000018 lattice "
-            "inequalities for the line-bundle differences",
+            "30000000000000000000000600000000000000000000003 ray inequalities, but only 3199997",
         ),
         (
             ("search", "longer.json", "1", "1", "1", "--bound", "1"),
-            "search would test 32000000000000000000060 lattice inequalities for the box",
+            "8000000000000000000016 ray inequalities, but only 3200000",
         ),
     ],
     ids=["toric coh", "verify", "search"],
@@ -785,7 +776,7 @@ def test_astronomical_lattice_charges_exit_2(tmp_path, capsys, monkeypatch, argv
     write_json(tmp_path, "longer.json", {"rays": [[1, 0], [0, 1], [-1, 10**21], [0, -1]]})
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: {charge}; the limit is 3200000\n"
+    assert err == f"error: a lattice count would test {charge} remain of the lattice budget\n"
 
 
 def test_verify_limits_collection_objects(tmp_path, capsys):

@@ -34,7 +34,6 @@ from quivsurf.exceptional import (
     Collection,
     CurveSheaf,
     LineBundle,
-    _ext_lattice_tests,
     abc_of,
     check_table_case,
     ext_dims,
@@ -403,9 +402,7 @@ def test_warm_searches_count_no_cohomology(name, bound):
 
 
 def test_box_charge_is_the_lattice_work_of_the_build():
-    # what search charges before it runs is what the level-set build counts:
-    # each box vector once; a change to the work that keeps the charge fails
-    # here
+    # the level-set build counts each box vector once, uncached
     rng = random.Random(30)
     for _ in range(30):
         s = random_blowup_surface(rng)
@@ -415,8 +412,44 @@ def test_box_charge_is_the_lattice_work_of_the_build():
         counted = counting_coh(s)
         s._strong_pairs(bound)
         assert len(counted) == (2 * bound + 1) ** s.picard_rank
-        assert s._box_lattice_tests(bound) == sum(map(s._coh_lattice_tests, counted))
         assert not s._coh_cache
+
+
+def box_tests(s, d) -> int:
+    """Ray inequalities of the lattice count of one divisor: its box points
+    times the rays."""
+    xs, ys = s._section_box(d)
+    return s.n_rays * (xs.stop - xs.start) * (ys.stop - ys.start)
+
+
+def coh_tests(s, d) -> int:
+    """Ray inequalities of the two lattice counts of D and K - D."""
+    return box_tests(s, d) + box_tests(s, tuple(-1 - c for c in d))
+
+
+def spend(s, call) -> int:
+    """The lattice budget that call() spends on surface s."""
+    s._lattice_budget = budget = 10**12
+    call()
+    return budget - s._lattice_budget
+
+
+def test_search_budget_covers_differences_outside_the_box():
+    # this rho = 4 fan at bound 1: besides the 81 box vectors, (1, 1, 1)
+    # counts differences E - D outside the box, which a charge of the box
+    # alone did not see
+    s = random_blowup_surface(random.Random(21))
+    assert s.picard_rank == 4
+    calls, h0 = [], s.h0_lattice_points
+    s.h0_lattice_points = lambda d: calls.append(d) or h0(d)
+    spent = spend(s, lambda: search_abc(s, 1, 1, 1, bound=1))
+    assert spent == sum(box_tests(s, d) for d in calls)
+    box_charge = sum(coh_tests(s, s._lift(v)) for v in s._picard_box(1))
+    assert (spent, box_charge) == (4920, 3948)
+    s = random_blowup_surface(random.Random(21))
+    s._lattice_budget = box_charge
+    with pytest.raises(ValueError, match="lattice budget"):
+        search_abc(s, 1, 1, 1, bound=1)
 
 
 def test_verify_charge_is_the_lattice_work_of_the_ext_table():
@@ -431,9 +464,10 @@ def test_verify_charge_is_the_lattice_work_of_the_ext_table():
             for _ in range(rng.randint(1, 5))
         )
         c = Collection(s, objects)
-        counted = counting_coh(s)
-        verify_collection(c, strong=rng.random() < 0.5)
-        assert _ext_lattice_tests(c) == sum(map(s._coh_lattice_tests, counted))
+        lines = [obj.divisor for obj in objects if isinstance(obj, LineBundle)]
+        differences = {tuple(a - b for a, b in zip(e, d)) for d in lines for e in lines}
+        spent = spend(s, lambda: verify_collection(c, strong=rng.random() < 0.5))
+        assert spent == sum(coh_tests(s, d) for d in differences)
 
 
 @pytest.mark.parametrize(

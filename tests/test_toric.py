@@ -174,6 +174,24 @@ def test_h0_quadric_bidegree():
     assert s.h0_lattice_points(s.lift_pic((1, 1))) == 4
 
 
+def test_h0_spends_the_lattice_budget():
+    # O(2) on P2 has a 3 x 3 box: 27 ray inequalities; no budget is no limit
+    s = projective_plane()
+    assert s._lattice_budget is None
+    s._lattice_budget = 28
+    assert s.h0_lattice_points((2, 0, 0)) == 6
+    assert s._lattice_budget == 1
+    # an empty box costs nothing, a box past the rest raises before its scan
+    assert s.h0_lattice_points((-5, 0, 0)) == 0
+    with pytest.raises(ValueError, match="would test 3 ray inequalities, but only 1 remain"):
+        s.h0_lattice_points((0, 0, 0))
+    assert s._lattice_budget == 1
+    # box sides past sys.maxsize are charged without len()
+    s._lattice_budget = 10**6
+    with pytest.raises(ValueError, match=f"would test {3 * (10**30 + 1) ** 2} "):
+        s.h0_lattice_points((10**30, 0, 0))
+
+
 def test_cohomology_structure_sheaf():
     for s in (projective_plane(), blowup_p2(2)):
         assert tuple(s.cohomology(s.zero_divisor())) == (1, 0, 0)
